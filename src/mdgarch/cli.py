@@ -19,11 +19,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import limits
-from .harness import (ConfigurationError, McConfig, run_experiment,
-                      run_n_sweep, validate_config)
+from .harness import (QQ_REF_STREAM, REGIMES, ConfigurationError, McConfig,
+                      RegimeSpec, diag_checkpoint, run_experiment,
+                      run_n_sweep, sweep_verdict, validate_config)
 from .innovations import RngStream
-from .localization import Regime, classify_regime
+from .localization import classify_regime
 from .simulate import (CLASSICAL, LITERAL, decompose_volatility,
                        export_path_csv, simulate_path)
 
@@ -136,25 +136,18 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if report.verdict else EXIT_STAT_FAIL
 
 
-def _regime_tests(regime: Regime) -> tuple:
-    if regime is Regime.NEAR_STATIONARY:
-        return ("remainders", "tau_coupling")
-    if regime is Regime.NEAR_EXPLOSIVE:
-        return ("remainders", "lemma")
-    return ("remainders",)
-
-
 def cmd_diagnose(args) -> int:
     # diagnostics replace the configured test list with the regime's
     # diagnostic set (remainders plus tau or lemma); any mode is allowed
     config = dataclasses.replace(load_config(args.config, args), tests=())
     params = validate_config(config)
-    regime = classify_regime(params)
-    config = dataclasses.replace(config, tests=_regime_tests(regime))
+    spec = REGIMES[classify_regime(params)]
+    tests = ("remainders",) + ((spec.diagnostic,) if spec.diagnostic else ())
+    config = dataclasses.replace(config, tests=tests)
     report = run_experiment(config)
     _write(args.out, "diagnostics.json", report.to_json() + "\n")
     _write(args.out, "components.csv", _components_csv(config, params))
-    _write(args.out, "qq.csv", _qq_csv(config, regime, report))
+    _write(args.out, "qq.csv", _qq_csv(config, spec, report))
     print(f"wrote diagnostics to {args.out}")
     return EXIT_PASS
 
@@ -166,7 +159,7 @@ def _components_csv(config: McConfig, params) -> str:
     magnitudes plus signs and the degenerate flag required when the
     linear value is not representable.
     """
-    k = max(3, int(math.floor(0.8 * config.n)))
+    k = diag_checkpoint(config.n)
     lines = ["rep,component,value_or_log10,sign,literal_degenerate"]
     for i in range(min(config.reps, 20)):
         path = simulate_path(params, config.innovation,
@@ -187,21 +180,19 @@ def _components_csv(config: McConfig, params) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _qq_csv(config: McConfig, regime: Regime, report) -> str:
+def _qq_csv(config: McConfig, spec: RegimeSpec, report) -> str:
     """Sorted statistic vs reference quantiles, reps x checkpoints rows."""
     from scipy.special import ndtri
 
     reps = config.reps
     lines = ["checkpoint_k,sample_quantile,reference_quantile"]
     probs = (np.arange(1, reps + 1) - 0.5) / reps
-    if regime is Regime.NEAR_STATIONARY:
+    if spec.sample_reference is None:
         ref_cols = np.tile(ndtri(probs), (len(report.checkpoints), 1))
     else:
-        sampler = (limits.sample_time_weighted_wiener
-                   if regime is Regime.INTEGRATED
-                   else limits.sample_wiener_marginals)
-        draws = sampler(config.grid.t_values, reps,
-                        RngStream(config.master_seed, 2 ** 32 + 1)).draws
+        draws = spec.sample_reference(
+            config.grid.t_values, reps,
+            RngStream(config.master_seed, QQ_REF_STREAM)).draws
         ref_cols = np.sort(draws, axis=0).T
     for m, k in enumerate(report.checkpoints):
         sample = np.sort(report.vol_stats[:, m])
@@ -218,14 +209,7 @@ def cmd_sweep(args) -> int:
         _write(args.out, f"report_n{n}.json", rep.to_json() + "\n")
     _write(args.out, "trend.json",
            json.dumps(trend, sort_keys=True, indent=2) + "\n")
-    ok = all(rep.verdict for rep in reports)
-    for entry in trend.values():
-        for key in ("strictly_decreasing",):
-            if key in entry and not entry[key]:
-                ok = False
-        for band in entry.values():
-            if isinstance(band, dict) and not band.get("within_factor_3", True):
-                ok = False
+    ok = sweep_verdict(reports, trend)
     print(f"sweep verdict: {'pass' if ok else 'FAIL'}")
     return EXIT_PASS if ok else EXIT_STAT_FAIL
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,9 +24,10 @@ from .localization import (GarchParams, LocalizationScheme, Regime,
                            classify_regime, realize_params)
 from .simulate import (CLASSICAL, LITERAL, MODES, GarchPath,
                        decompose_volatility)
-from .stats import (CheckpointGrid, lemma_discrepancy, ns_return_stat,
-                    ns_volatility_stat, ne_return_stat, ne_volatility_stat,
-                    int_return_stat, int_volatility_stat, tau_stats)
+from .stats import (CheckpointGrid, checkpoint_returns, int_return_stats,
+                    int_volatility_stats, lemma_discrepancy, ne_return_stats,
+                    ne_volatility_stats, ns_return_stats, ns_volatility_stats,
+                    tau_stats)
 
 ALL_TESTS = ("vol_gof", "ret_gof", "independence", "lemma", "remainders",
              "tau_coupling")
@@ -37,6 +38,43 @@ DIAG_FRACTION = 0.8
 
 # stream index block reserved for reference-law sampling
 _REF_STREAM_BASE = 2 ** 32
+# reference draws for the QQ data of `mdgarch diagnose`
+QQ_REF_STREAM = _REF_STREAM_BASE + 1
+
+
+@dataclass(frozen=True)
+class RegimeSpec:
+    """What the harness and CLI do differently in each regime."""
+
+    # (sigma_sq, log_sigma_sq, params, n, k, xi_var, mode) -> StatArray
+    vol_stats: Callable
+    # (u, log_abs_u, params, k, mode) -> StatArray
+    ret_stats: Callable
+    reference: str  # limit law of the volatility statistics
+    # (t_values, reps, stream) -> LimitSample; None for the iid standard
+    # normal law, which is tested against its CDF instead
+    sample_reference: Optional[Callable]
+    # raw statistics are the independent objects in the near-stationary
+    # limit; in the Wiener-type limits independence lives in increments
+    independence_basis: str
+    diagnostic: Optional[str]  # proof-device test valid only here
+
+
+# the samplers are looked up on `limits` per call, so wrappers installed
+# there (perfbench's tracer) see them
+REGIMES = {
+    Regime.NEAR_STATIONARY: RegimeSpec(
+        ns_volatility_stats, ns_return_stats, limits.STD_NORMAL_IID, None,
+        "statistics", "tau_coupling"),
+    Regime.INTEGRATED: RegimeSpec(
+        int_volatility_stats, int_return_stats, limits.TIME_WEIGHTED_WIENER,
+        lambda *args: limits.sample_time_weighted_wiener(*args),
+        "increments", None),
+    Regime.NEAR_EXPLOSIVE: RegimeSpec(
+        ne_volatility_stats, ne_return_stats, limits.WIENER_MARGINALS,
+        lambda *args: limits.sample_wiener_marginals(*args),
+        "increments", "lemma"),
+}
 
 
 class ConfigurationError(ValueError):
@@ -150,11 +188,10 @@ def validate_config(config: McConfig) -> GarchParams:
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
     regime = classify_regime(params)
-    if "lemma" in config.tests and regime is not Regime.NEAR_EXPLOSIVE:
-        raise ConfigurationError("lemma test requires the near-explosive regime")
-    if "tau_coupling" in config.tests and regime is not Regime.NEAR_STATIONARY:
-        raise ConfigurationError(
-            "tau_coupling test requires the near-stationary regime")
+    for home, spec in REGIMES.items():
+        if spec.diagnostic in config.tests and home is not regime:
+            raise ConfigurationError(
+                f"{spec.diagnostic} test requires the {home.value} regime")
     if "ret_gof" in config.tests and config.innovation.kind == "two-point-mixture":
         raise ConfigurationError(
             "ret_gof needs a continuous innovation law (discrete CDF)")
@@ -178,34 +215,17 @@ def _simulate_chunked(config: McConfig, params: GarchParams):
         yield start, eps, sigma_sq, log_sigma_sq, overflow
 
 
-def _vol_stat(regime: Regime, sigma_k_sq: float, log_sigma_k_sq: float,
-              params: GarchParams, n: int, k: int, xi_var: float,
-              mode: str) -> float:
-    if regime is Regime.NEAR_STATIONARY:
-        return float(ns_volatility_stat(sigma_k_sq, params, k, xi_var, mode,
-                                        log_sigma_k_sq))
-    if regime is Regime.INTEGRATED:
-        return float(int_volatility_stat(sigma_k_sq, params, n, k, xi_var,
-                                         mode, log_sigma_k_sq))
-    return float(ne_volatility_stat(sigma_k_sq, params, n, k, xi_var, mode,
-                                    log_sigma_k_sq))
-
-
-def _ret_stat(regime: Regime, u_k: float, log_abs_u: Optional[float],
-              params: GarchParams, k: int, mode: str) -> float:
-    if regime is Regime.NEAR_STATIONARY:
-        return float(ns_return_stat(u_k, params, k, mode, log_abs_u))
-    if regime is Regime.INTEGRATED:
-        return float(int_return_stat(u_k, params, k, mode, log_abs_u))
-    return float(ne_return_stat(u_k, params, k, mode, log_abs_u))
-
-
 def _sorted_mean(values: np.ndarray) -> float:
     return math.fsum(np.sort(values)) / len(values)
 
 
 def _sorted_median(values: np.ndarray) -> float:
     return float(np.median(np.sort(values)))
+
+
+def diag_checkpoint(n: int) -> int:
+    """The checkpoint k of the lemma / remainder / tau diagnostics."""
+    return max(3, int(math.floor(DIAG_FRACTION * n)))
 
 
 def independence_threshold(reps: int) -> float:
@@ -222,13 +242,16 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
     """
     params = validate_config(config)
     regime = classify_regime(params)
+    spec = REGIMES[regime]
     n, reps, mode = config.n, config.reps, config.mode
     ks = config.grid.checkpoints(n)
     xi_var = xi_second_moment(config.innovation)
-    k_diag = max(3, int(math.floor(DIAG_FRACTION * n)))
+    k_diag = diag_checkpoint(n)
 
-    vol = np.empty((reps, len(ks)))
-    ret = np.empty((reps, len(ks)))
+    # checkpoint rows: (checkpoint, replication)
+    sigma_k = np.empty((len(ks), reps))
+    log_sigma_k = np.empty((len(ks), reps))
+    eps_k = np.empty((len(ks), reps))
     need_paths = {"lemma", "remainders", "tau_coupling"} & set(config.tests)
     lemma_vals = np.empty(reps) if "lemma" in config.tests else None
     tau_vals = np.empty(reps) if "tau_coupling" in config.tests else None
@@ -236,19 +259,13 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
 
     for start, eps, sigma_sq, log_sigma_sq, overflow in \
             _simulate_chunked(config, params):
-        for r in range(eps.shape[0]):
-            i = start + r
-            for m, k in enumerate(ks):
-                vol[i, m] = _vol_stat(regime, sigma_sq[r, k],
-                                      log_sigma_sq[r, k], params, n, k,
-                                      xi_var, mode)
-                e = eps[r, k]
-                u_k = math.sqrt(sigma_sq[r, k]) * e \
-                    if math.isfinite(sigma_sq[r, k]) else math.inf * e
-                log_abs_u = (0.5 * log_sigma_sq[r, k] + math.log(abs(e))
-                             if e != 0.0 else None)
-                ret[i, m] = _ret_stat(regime, u_k, log_abs_u, params, k, mode)
-            if need_paths:
+        rows = slice(start, start + eps.shape[0])
+        sigma_k[:, rows] = sigma_sq[:, ks].T
+        log_sigma_k[:, rows] = log_sigma_sq[:, ks].T
+        eps_k[:, rows] = eps[:, ks].T
+        if need_paths:
+            for r in range(eps.shape[0]):
+                i = start + r
                 with np.errstate(invalid="ignore"):
                     u = np.sqrt(sigma_sq[r]) * eps[r]
                 path = GarchPath(n=n, eps=eps[r], xi=eps[r] ** 2 - 1.0, u=u,
@@ -270,16 +287,22 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
                     rem_rows.append((abs(dec.r1), dec.r2_max, dec.r2_lil_max,
                                      dec.r3_rel_max))
 
+    vol = np.column_stack([
+        spec.vol_stats(s, ls, params, n, k, xi_var, mode).value
+        for k, s, ls in zip(ks, sigma_k, log_sigma_k)])
+    ret = np.column_stack([
+        spec.ret_stats(*checkpoint_returns(s, ls, e), params, k, mode).value
+        for k, s, ls, e in zip(ks, sigma_k, log_sigma_k, eps_k)])
     if vol_shift != 0.0:
         vol = vol + vol_shift
 
     results: Dict[str, dict] = {}
     if "vol_gof" in config.tests:
-        results["vol_gof"] = _vol_gof(config, regime, ks, vol)
+        results["vol_gof"] = _vol_gof(config, spec, ks, vol)
     if "ret_gof" in config.tests:
         results["ret_gof"] = _ret_gof(config, ks, ret)
     if "independence" in config.tests:
-        results["independence"] = _independence(config, regime, ks, vol)
+        results["independence"] = _independence(config, spec, vol)
     if lemma_vals is not None:
         results["lemma"] = {"k": k_diag, "mean": _sorted_mean(lemma_vals),
                             "pass": True}
@@ -317,28 +340,19 @@ def _gof_entry(res: gof.GofResult, k: int) -> dict:
     return {"k": k, "D": res.statistic, "p": res.p_value, "pass": res.passed}
 
 
-def _vol_gof(config: McConfig, regime: Regime, ks, vol) -> dict:
-    per = []
-    if regime is Regime.NEAR_STATIONARY:
-        for m, k in enumerate(ks):
-            per.append(_gof_entry(
-                gof.ks_one_sample(vol[:, m], np.vectorize(limits.normal_cdf),
-                                  config.level), k))
-        reference = limits.STD_NORMAL_IID
+def _vol_gof(config: McConfig, spec: RegimeSpec, ks, vol) -> dict:
+    if spec.sample_reference is None:
+        per = [_gof_entry(gof.ks_one_sample(
+            vol[:, m], np.vectorize(limits.normal_cdf), config.level), k)
+            for m, k in enumerate(ks)]
     else:
-        if regime is Regime.INTEGRATED:
-            sampler, reference = (limits.sample_time_weighted_wiener,
-                                  limits.TIME_WEIGHTED_WIENER)
-        else:
-            sampler, reference = (limits.sample_wiener_marginals,
-                                  limits.WIENER_MARGINALS)
-        ref = sampler(config.grid.t_values, config.reps,
-                      RngStream(config.master_seed, _REF_STREAM_BASE))
-        for m, k in enumerate(ks):
-            per.append(_gof_entry(
-                gof.ks_two_sample(vol[:, m], ref.draws[:, m], config.level),
-                k))
-    return {"reference": reference, "per_checkpoint": per,
+        ref = spec.sample_reference(
+            config.grid.t_values, config.reps,
+            RngStream(config.master_seed, _REF_STREAM_BASE))
+        per = [_gof_entry(gof.ks_two_sample(vol[:, m], ref.draws[:, m],
+                                            config.level), k)
+               for m, k in enumerate(ks)]
+    return {"reference": spec.reference, "per_checkpoint": per,
             "pass": all(e["pass"] for e in per)}
 
 
@@ -350,13 +364,9 @@ def _ret_gof(config: McConfig, ks, ret) -> dict:
             "pass": all(e["pass"] for e in per)}
 
 
-def _independence(config: McConfig, regime: Regime, ks, vol) -> dict:
-    # raw statistics are the independent objects in the near-stationary
-    # limit; in the Wiener-type limits independence lives in increments
-    if regime is Regime.NEAR_STATIONARY:
-        matrix, basis = vol, "statistics"
-    else:
-        matrix, basis = np.diff(vol, axis=1), "increments"
+def _independence(config: McConfig, spec: RegimeSpec, vol) -> dict:
+    basis = spec.independence_basis
+    matrix = vol if basis == "statistics" else np.diff(vol, axis=1)
     if matrix.shape[1] < 2:
         return {"basis": basis, "max_abs_corr": 0.0,
                 "threshold": independence_threshold(config.reps),
@@ -414,3 +424,17 @@ def run_n_sweep(config: McConfig,
             "strictly_decreasing": all(b < a for a, b in zip(est, est[1:])),
         }
     return tuple(reports), trend
+
+
+def sweep_verdict(reports: Sequence[McReport], trend: dict) -> bool:
+    """True when every report passes and every trend check of
+    run_n_sweep holds (decreasing lemma/tau means, remainder bands within
+    a factor of 3)."""
+    ok = all(r.verdict for r in reports)
+    for key in ("lemma", "tau_coupling"):
+        if key in trend:
+            ok = ok and trend[key]["strictly_decreasing"]
+    if "remainders" in trend:
+        ok = ok and all(band["within_factor_3"]
+                        for band in trend["remainders"].values())
+    return ok

@@ -35,9 +35,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         return np.random.default_rng([self.master_seed, self.stream_index])
 
-    def child(self, stream_index: int) -> "RngStream":
-        return RngStream(self.master_seed, stream_index)
-
 
 @dataclass(frozen=True)
 class InnovationSpec:

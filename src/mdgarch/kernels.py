@@ -34,7 +34,7 @@ if _numba_requested():
         from numba import njit, prange
 
         USE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a hard dep in CI
+    except ImportError:  # pragma: no cover - numba is the optional [numba] extra
         USE_NUMBA = False
 
 

@@ -9,6 +9,12 @@ Two normalization modes run through every statistic:
   Those carry a k^{k/2} bookkeeping factor that makes their linear
   values degenerate; they are emitted for diagnostics only and no
   convergence is asserted for them.
+
+Each regime statistic has one implementation, array-in/array-out over
+the replications at one checkpoint (``*_stats``, returning a
+``StatArray``); the scalar ``*_stat`` functions wrap it on a length-1
+array.  Element-wise exp/log go through the C library (``math``), so a
+statistic is bit-identical whether it is evaluated alone or in a batch.
 """
 
 from __future__ import annotations
@@ -66,11 +72,49 @@ class StatValue:
         return float(self.value)
 
 
-def _plain(value: float) -> StatValue:
-    value = float(value)
-    if value == 0.0:
-        return StatValue(0.0, -math.inf, 0.0)
-    return StatValue(value, math.log(abs(value)), math.copysign(1.0, value))
+@dataclass(frozen=True)
+class StatArray:
+    """StatValue fields as arrays, one entry per replication."""
+
+    value: np.ndarray
+    log_magnitude: np.ndarray
+    sign: np.ndarray
+    degenerate: np.ndarray
+
+    def __getitem__(self, i: int) -> StatValue:
+        return StatValue(float(self.value[i]), float(self.log_magnitude[i]),
+                         float(self.sign[i]), bool(self.degenerate[i]))
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn (math.exp, math.log, ...) applied element-wise.
+
+    numpy's vectorized exp/log are not bit-identical to the C library on
+    every host; report bytes are pinned to the latter.
+    """
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _log_abs(x: np.ndarray) -> np.ndarray:
+    """log|x|, -inf at zeros."""
+    out = np.full(x.shape, -math.inf)
+    nz = x != 0.0
+    out[nz] = _libm(math.log, np.abs(x[nz]))
+    return out
+
+
+def _sign(x: np.ndarray) -> np.ndarray:
+    return np.where(x != 0.0, np.copysign(1.0, x), 0.0)
+
+
+def _plain(values: np.ndarray) -> StatArray:
+    """Linear values with log bookkeeping; zeros of either sign become +0."""
+    return StatArray(np.where(values != 0.0, values, 0.0), _log_abs(values),
+                     _sign(values), np.zeros(values.shape, dtype=bool))
+
+
+def _one(x: Optional[float]) -> Optional[np.ndarray]:
+    return None if x is None else np.array([x], dtype=float)
 
 
 def geometric_exp_sum(a: float, k: int) -> float:
@@ -124,29 +168,33 @@ def _require(params: GarchParams, regime: Regime) -> None:
         raise WrongRegime(f"statistic requires {regime.value}, got {actual.value}")
 
 
-def _stable_centered_diff(log_ratio: float, log_center: float) -> Tuple[float, float]:
+def _log_centered_diff(log_ratio: np.ndarray, log_center: float
+                       ) -> Tuple[np.ndarray, np.ndarray]:
     """e^{log_ratio} - e^{log_center} as (log magnitude, sign).
 
     Evaluated as -e^{L} expm1(C - L) around the larger exponent, which
     keeps full relative accuracy when both terms are huge.  Raises when
     the relative difference drops below 1e-10 (all digits lost).
     """
-    hi, lo = max(log_ratio, log_center), min(log_ratio, log_center)
-    rel = -math.expm1(lo - hi)
-    if rel < 1e-10:
+    hi = np.maximum(log_ratio, log_center)
+    rel = -_libm(math.expm1, np.minimum(log_ratio, log_center) - hi)
+    lost = rel < 1e-10
+    if lost.any():
         raise CancellationError(
             f"centered difference lost all significant digits "
-            f"(relative gap {rel:.3e})")
-    sign = 1.0 if log_ratio > log_center else -1.0
-    return hi + math.log(rel), sign
+            f"(relative gap {rel[lost][0]:.3e})")
+    return (hi + _libm(math.log, rel),
+            np.where(log_ratio > log_center, 1.0, -1.0))
 
 
 # ---------------------------------------------------------------------------
-# near-stationary regime (gamma < 0)
+# near-stationary regime (gamma < 0); n is unused, the normalization
+# depends on gamma_n only
 
-def ns_volatility_stat(sigma_k_sq: float, params: GarchParams, k: int,
-                       xi_var: float, mode: str = CLASSICAL,
-                       log_sigma_k_sq: Optional[float] = None) -> StatValue:
+def ns_volatility_stats(sigma_k_sq: np.ndarray,
+                        log_sigma_k_sq: Optional[np.ndarray],
+                        params: GarchParams, n: int, k: int, xi_var: float,
+                        mode: str = CLASSICAL) -> StatArray:
     _require(params, Regime.NEAR_STATIONARY)
     if xi_var <= 0.0:
         raise ValueError("xi_var must be > 0")
@@ -161,24 +209,38 @@ def ns_volatility_stat(sigma_k_sq: float, params: GarchParams, k: int,
                              math.log(pref), g / math.sqrt(k))
 
 
-def ns_return_stat(u_k: float, params: GarchParams, k: int,
-                   mode: str = CLASSICAL,
-                   log_abs_u: Optional[float] = None) -> StatValue:
+def ns_return_stats(u_k: np.ndarray, log_abs_u: Optional[np.ndarray],
+                    params: GarchParams, k: int,
+                    mode: str = CLASSICAL) -> StatArray:
     _require(params, Regime.NEAR_STATIONARY)
     g, w = params.gamma_n, params.omega
     if mode == CLASSICAL:
         return _plain(math.sqrt(abs(g) / w) * u_k)
     log_pref = 0.5 * (math.log(abs(g)) - math.log(w)
                       - (k + 1) / 2.0 * math.log(k))
-    return _literal_return(u_k, log_abs_u, log_pref)
+    return _log_scaled_return(u_k, log_abs_u, log_pref, literal=True)
+
+
+def ns_volatility_stat(sigma_k_sq: float, params: GarchParams, k: int,
+                       xi_var: float, mode: str = CLASSICAL,
+                       log_sigma_k_sq: Optional[float] = None) -> StatValue:
+    return ns_volatility_stats(_one(sigma_k_sq), _one(log_sigma_k_sq), params,
+                               params.n, k, xi_var, mode)[0]
+
+
+def ns_return_stat(u_k: float, params: GarchParams, k: int,
+                   mode: str = CLASSICAL,
+                   log_abs_u: Optional[float] = None) -> StatValue:
+    return ns_return_stats(_one(u_k), _one(log_abs_u), params, k, mode)[0]
 
 
 # ---------------------------------------------------------------------------
 # integrated regime (gamma = 0)
 
-def int_volatility_stat(sigma_k_sq: float, params: GarchParams, n: int, k: int,
-                        xi_var: float, mode: str = CLASSICAL,
-                        log_sigma_k_sq: Optional[float] = None) -> StatValue:
+def int_volatility_stats(sigma_k_sq: np.ndarray,
+                         log_sigma_k_sq: Optional[np.ndarray],
+                         params: GarchParams, n: int, k: int, xi_var: float,
+                         mode: str = CLASSICAL) -> StatArray:
     _require(params, Regime.INTEGRATED)
     a, w = params.alpha_n, params.omega
     if mode == CLASSICAL:
@@ -191,75 +253,118 @@ def int_volatility_stat(sigma_k_sq: float, params: GarchParams, n: int, k: int,
     pref = math.sqrt(k) / (n ** 1.5 * a * math.sqrt(xi_var))
     L = (_log_ratio(sigma_k_sq, log_sigma_k_sq) - math.log(w)
          - 0.5 * k * math.log(k))
-    diff = math.exp(L) - k if L < 700.0 else math.inf
-    degen = L < math.log(k) - 36.0
-    val = pref * diff
-    return StatValue(val, math.log(abs(val)) if val else -math.inf,
-                     math.copysign(1.0, val) if val else 0.0, degenerate=degen)
+    val = pref * (_exp_below_700(L) - k)
+    return StatArray(val, _log_abs(val), _sign(val),
+                     L < math.log(k) - 36.0)
 
 
-def int_return_stat(u_k: float, params: GarchParams, k: int,
-                    mode: str = CLASSICAL,
-                    log_abs_u: Optional[float] = None) -> StatValue:
+def int_return_stats(u_k: np.ndarray, log_abs_u: Optional[np.ndarray],
+                     params: GarchParams, k: int,
+                     mode: str = CLASSICAL) -> StatArray:
     _require(params, Regime.INTEGRATED)
     w = params.omega
     if mode == CLASSICAL:
         return _plain(u_k / math.sqrt(w * k))
     log_pref = -0.5 * (math.log(w) + (0.5 * k + 1.0) * math.log(k))
-    return _literal_return(u_k, log_abs_u, log_pref)
+    return _log_scaled_return(u_k, log_abs_u, log_pref, literal=True)
+
+
+def int_volatility_stat(sigma_k_sq: float, params: GarchParams, n: int, k: int,
+                        xi_var: float, mode: str = CLASSICAL,
+                        log_sigma_k_sq: Optional[float] = None) -> StatValue:
+    return int_volatility_stats(_one(sigma_k_sq), _one(log_sigma_k_sq),
+                                params, n, k, xi_var, mode)[0]
+
+
+def int_return_stat(u_k: float, params: GarchParams, k: int,
+                    mode: str = CLASSICAL,
+                    log_abs_u: Optional[float] = None) -> StatValue:
+    return int_return_stats(_one(u_k), _one(log_abs_u), params, k, mode)[0]
 
 
 # ---------------------------------------------------------------------------
 # near-explosive regime (gamma > 0)
 
+def ne_volatility_stats(sigma_k_sq: np.ndarray,
+                        log_sigma_k_sq: Optional[np.ndarray],
+                        params: GarchParams, n: int, k: int, xi_var: float,
+                        mode: str = CLASSICAL) -> StatArray:
+    _require(params, Regime.NEAR_EXPLOSIVE)
+    a, g, w = params.alpha_n, params.gamma_n, params.omega
+    if mode == LITERAL:
+        rk = math.sqrt(k)
+        pref_log = math.log(g) - rk * g - math.log(a * rk * math.sqrt(xi_var))
+        return _literal_centered(sigma_k_sq, log_sigma_k_sq, params, k,
+                                 pref_log, g / rk)
+    if mode != CLASSICAL:
+        raise ValueError(f"unknown mode {mode!r}")
+    L = _log_ratio(sigma_k_sq, log_sigma_k_sq) - math.log(w)
+    log_center = log_geometric_exp_sum(g, k)
+    log_pref = (math.log(g) - k * g
+                - math.log(a * math.sqrt(n) * math.sqrt(xi_var)))
+    value, log_mag, sign = (np.empty(L.shape) for _ in range(3))
+    # both terms representable: centre on the linear scale
+    lin = (L < 700.0) & (log_center < 700.0)
+    lhs = (sigma_k_sq[lin] / w if log_sigma_k_sq is None
+           else _libm(math.exp, L[lin]))
+    diff = lhs - geometric_exp_sum(g, k)
+    nz = diff != 0.0
+    if (np.abs(diff[nz]) < 1e-10 * _libm(
+            math.exp, np.maximum(L[lin][nz], log_center))).any():
+        raise CancellationError(
+            "centered difference lost all significant digits")
+    plain = _plain(np.copysign(_libm(math.exp, log_pref + _log_abs(diff)),
+                               diff))
+    value[lin], log_mag[lin], sign[lin] = \
+        plain.value, plain.log_magnitude, plain.sign
+    # otherwise centre in log space
+    log_diff, sign[~lin] = _log_centered_diff(L[~lin], log_center)
+    log_mag[~lin] = log_pref + log_diff
+    value[~lin] = sign[~lin] * _libm(math.exp, log_mag[~lin])
+    return StatArray(value, log_mag, sign, np.zeros(L.shape, dtype=bool))
+
+
+def ne_return_stats(u_k: np.ndarray, log_abs_u: Optional[np.ndarray],
+                    params: GarchParams, k: int,
+                    mode: str = CLASSICAL) -> StatArray:
+    _require(params, Regime.NEAR_EXPLOSIVE)
+    g, w = params.gamma_n, params.omega
+    if mode == CLASSICAL:
+        log_pref = 0.5 * (math.log(g) - k * g - math.log(w))
+        return _log_scaled_return(u_k, log_abs_u, log_pref, literal=False)
+    log_pref = 0.5 * (math.log(g) - math.sqrt(k) * g - math.log(w)
+                      - (k + 1) / 2.0 * math.log(k))
+    return _log_scaled_return(u_k, log_abs_u, log_pref, literal=True)
+
+
 def ne_volatility_stat(sigma_k_sq: float, params: GarchParams, n: int, k: int,
                        xi_var: float, mode: str = CLASSICAL,
                        log_sigma_k_sq: Optional[float] = None) -> StatValue:
-    _require(params, Regime.NEAR_EXPLOSIVE)
-    a, g, w = params.alpha_n, params.gamma_n, params.omega
-    if mode == CLASSICAL:
-        L = _log_ratio(sigma_k_sq, log_sigma_k_sq) - math.log(w)
-        log_center = log_geometric_exp_sum(g, k)
-        log_pref = (math.log(g) - k * g
-                    - math.log(a * math.sqrt(n) * math.sqrt(xi_var)))
-        if L < 700.0 and log_center < 700.0:
-            lhs = (sigma_k_sq / w if (log_sigma_k_sq is None
-                                      and math.isfinite(sigma_k_sq))
-                   else math.exp(L))
-            diff = lhs - geometric_exp_sum(g, k)
-            if diff == 0.0:
-                return _plain(0.0)
-            if abs(diff) < 1e-10 * math.exp(max(L, log_center)):
-                raise CancellationError(
-                    "centered difference lost all significant digits")
-            return _plain(math.copysign(
-                math.exp(log_pref + math.log(abs(diff))), diff))
-        log_diff, sign = _stable_centered_diff(L, log_center)
-        return StatValue(sign * math.exp(log_pref + log_diff),
-                         log_pref + log_diff, sign)
-    if mode != LITERAL:
-        raise ValueError(f"unknown mode {mode!r}")
-    rk = math.sqrt(k)
-    pref_log = math.log(g) - rk * g - math.log(a * rk * math.sqrt(xi_var))
-    return _literal_centered(sigma_k_sq, log_sigma_k_sq, params, k,
-                             pref_log, g / rk)
+    return ne_volatility_stats(_one(sigma_k_sq), _one(log_sigma_k_sq),
+                               params, n, k, xi_var, mode)[0]
 
 
 def ne_return_stat(u_k: float, params: GarchParams, k: int,
                    mode: str = CLASSICAL,
                    log_abs_u: Optional[float] = None) -> StatValue:
-    _require(params, Regime.NEAR_EXPLOSIVE)
-    g, w = params.gamma_n, params.omega
-    if mode == CLASSICAL:
-        log_pref = 0.5 * (math.log(g) - k * g - math.log(w))
-        if u_k == 0.0:
-            return _plain(0.0)
-        la = log_abs_u if log_abs_u is not None else math.log(abs(u_k))
-        val = math.copysign(math.exp(log_pref + la), u_k)
-        return StatValue(val, log_pref + la, math.copysign(1.0, u_k))
-    log_pref = 0.5 * (math.log(g) - math.sqrt(k) * g - math.log(w)
-                      - (k + 1) / 2.0 * math.log(k))
-    return _literal_return(u_k, log_abs_u, log_pref)
+    return ne_return_stats(_one(u_k), _one(log_abs_u), params, k, mode)[0]
+
+
+def checkpoint_returns(sigma_k_sq: np.ndarray, log_sigma_k_sq: np.ndarray,
+                       eps_k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """u_k = sigma_k eps_k and log|u_k|, the return statistics' inputs.
+
+    log|u_k| comes from the log track, so it stays exact past a linear
+    overflow; it is NaN where eps_k = 0 (u_k is then 0, or NaN past an
+    overflow).
+    """
+    with np.errstate(invalid="ignore"):
+        u = np.sqrt(sigma_k_sq) * eps_k
+    log_abs_u = np.full(eps_k.shape, math.nan)
+    nz = eps_k != 0.0
+    log_abs_u[nz] = (0.5 * log_sigma_k_sq[nz]
+                     + _libm(math.log, np.abs(eps_k[nz])))
+    return u, log_abs_u
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +420,27 @@ def lemma_discrepancy(path: GarchPath, params: GarchParams, k: int,
 # ---------------------------------------------------------------------------
 # shared literal-mode helpers
 
-def _log_ratio(sigma_k_sq: float, log_sigma_k_sq: Optional[float]) -> float:
+def _log_ratio(sigma_k_sq: np.ndarray,
+               log_sigma_k_sq: Optional[np.ndarray]) -> np.ndarray:
     if log_sigma_k_sq is not None:
         return log_sigma_k_sq
-    if not sigma_k_sq > 0.0 or not math.isfinite(sigma_k_sq):
+    if not (np.all(sigma_k_sq > 0.0) and np.all(np.isfinite(sigma_k_sq))):
         raise ValueError("need log_sigma_k_sq for non-representable sigma^2")
-    return math.log(sigma_k_sq)
+    return _libm(math.log, sigma_k_sq)
 
 
-def _literal_centered(sigma_k_sq: float, log_sigma_k_sq: Optional[float],
+def _exp_below_700(x: np.ndarray) -> np.ndarray:
+    """e^x for x < 700, +inf elsewhere (NaN included)."""
+    out = np.full(x.shape, math.inf)
+    ok = x < 700.0
+    out[ok] = _libm(math.exp, x[ok])
+    return out
+
+
+def _literal_centered(sigma_k_sq: np.ndarray,
+                      log_sigma_k_sq: Optional[np.ndarray],
                       params: GarchParams, k: int, log_pref: float,
-                      g_scaled: float) -> StatValue:
+                      g_scaled: float) -> StatArray:
     """Literal display: pref * (sigma^2/(omega k^{k/2}) - sum e^{j g/sqrt k}).
 
     The scaled volatility term carries exponent -(k/2) log k and
@@ -335,22 +450,23 @@ def _literal_centered(sigma_k_sq: float, log_sigma_k_sq: Optional[float],
     L = (_log_ratio(sigma_k_sq, log_sigma_k_sq) - math.log(params.omega)
          - 0.5 * k * math.log(k))
     log_center = log_geometric_exp_sum(g_scaled, k)
-    degenerate = L < log_center - 36.0
-    diff = (math.exp(L) if L < 700.0 else math.inf) - math.exp(log_center)
-    val = math.copysign(math.exp(log_pref + math.log(abs(diff))), diff) \
-        if diff != 0.0 else 0.0
-    return StatValue(val,
-                     log_pref + (math.log(abs(diff)) if diff else -math.inf),
-                     math.copysign(1.0, diff) if diff else 0.0,
-                     degenerate=degenerate)
+    diff = _exp_below_700(L) - math.exp(log_center)
+    log_mag = log_pref + _log_abs(diff)  # -inf, so value +0, at diff = 0
+    return StatArray(np.copysign(_libm(math.exp, log_mag), diff), log_mag,
+                     _sign(diff), L < log_center - 36.0)
 
 
-def _literal_return(u_k: float, log_abs_u: Optional[float],
-                    log_pref: float) -> StatValue:
-    if u_k == 0.0:
-        return StatValue(0.0, -math.inf, 0.0, degenerate=True)
-    la = log_abs_u if log_abs_u is not None else math.log(abs(u_k))
-    lm = log_pref + la
-    # linear value underflows once lm < log of the smallest subnormal
-    val = math.copysign(math.exp(lm), u_k) if lm > -745.0 else 0.0
-    return StatValue(val, lm, math.copysign(1.0, u_k), degenerate=True)
+def _log_scaled_return(u_k: np.ndarray, log_abs_u: Optional[np.ndarray],
+                       log_pref: float, literal: bool) -> StatArray:
+    """sign(u) e^{log_pref + log|u|}, with log|u| taken from log_abs_u when
+    given.  Zero returns give 0 with log magnitude -inf.  Literal displays
+    are always degenerate and flush values below the smallest subnormal
+    to +0.
+    """
+    nz = u_k != 0.0
+    la = _log_abs(u_k) if log_abs_u is None else log_abs_u
+    log_mag = np.where(nz, log_pref + la, -math.inf)
+    keep = nz & (log_mag > -745.0) if literal else nz
+    val = np.zeros(u_k.shape)
+    val[keep] = np.copysign(_libm(math.exp, log_mag[keep]), u_k[keep])
+    return StatArray(val, log_mag, _sign(u_k), np.full(u_k.shape, literal))

@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from mdgarch.gof import DEFAULT_LEVEL
 from mdgarch.harness import (ConfigurationError, McConfig, McReport,
                              independence_threshold, run_experiment,
-                             run_n_sweep, validate_config)
+                             run_n_sweep, sweep_verdict, validate_config)
 from mdgarch.innovations import InnovationSpec
 from mdgarch.localization import LocalizationScheme
 from mdgarch.simulate import LITERAL
@@ -186,3 +188,23 @@ class TestSweep:
         assert trend["n_grid"]["values"] == [400, 800, 1600]
         assert len(trend["lemma"]["means"]) == 3
         assert "within_factor_3" in trend["remainders"]["r2_over_alpha_sq"]
+
+    def test_verdict_reads_every_trend_check(self):
+        passed = [SimpleNamespace(verdict=True)] * 3
+        band = {"min": 1.0, "max": 2.0, "ratio": 2.0, "within_factor_3": True}
+        trend = {"n_grid": {"values": [400, 800, 1600]},
+                 "lemma": {"means": [3.0, 2.0, 1.0],
+                           "strictly_decreasing": True},
+                 "tau_coupling": {"estimates": [3.0, 2.0, 1.0],
+                                  "strictly_decreasing": True},
+                 "remainders": {"r2_over_alpha_sq": band, "r3_scaled": band}}
+        assert sweep_verdict(passed, trend)
+        assert not sweep_verdict(passed[:2] + [SimpleNamespace(verdict=False)],
+                                 trend)
+        wide = dict(band, within_factor_3=False)
+        for key, entry in (
+                ("lemma", dict(trend["lemma"], strictly_decreasing=False)),
+                ("tau_coupling",
+                 dict(trend["tau_coupling"], strictly_decreasing=False)),
+                ("remainders", {"r2_over_alpha_sq": band, "r3_scaled": wide})):
+            assert not sweep_verdict(passed, dict(trend, **{key: entry})), key

@@ -10,11 +10,15 @@ from mdgarch.localization import (GarchParams, LocalizationScheme,
                                   realize_params)
 from mdgarch.simulate import CLASSICAL, LITERAL, simulate_path
 from mdgarch.stats import (CancellationError, CheckpointGrid, WrongRegime,
-                           geometric_exp_sum, int_return_stat,
-                           int_volatility_stat, lemma_discrepancy,
-                           log_geometric_exp_sum, ne_return_stat,
-                           ne_volatility_stat, ns_return_stat,
-                           ns_volatility_stat, tau_stats, weighted_exp_sum)
+                           checkpoint_returns, geometric_exp_sum,
+                           int_return_stat, int_return_stats,
+                           int_volatility_stat, int_volatility_stats,
+                           lemma_discrepancy, log_geometric_exp_sum,
+                           ne_return_stat, ne_return_stats,
+                           ne_volatility_stat, ne_volatility_stats,
+                           ns_return_stat, ns_return_stats,
+                           ns_volatility_stat, ns_volatility_stats,
+                           tau_stats, weighted_exp_sum)
 
 NORMAL = InnovationSpec(kind="standard-normal")
 
@@ -333,3 +337,98 @@ class TestSeedInvariance:
         k = 1500
         assert float(ns_volatility_stat(path.sigma_sq[k], NS, k, 2.0)) == \
             float(ns_volatility_stat(replay.sigma_sq[k], NS, k, 2.0))
+
+
+# gamma_n = n^{-0.2}: the NE centre passes e^700 from k ~ 3850 on
+NE_WIDE = regime_params(1.0, kappa=0.2)
+
+# params, array forms, scalar forms with one (s, ls, params, n, k, xi_var,
+# mode) signature for the volatility statistic
+ARRAY_FORMS = {
+    "NS": (NS, ns_volatility_stats, ns_return_stats,
+           lambda s, ls, p, n, k, xv, mode:
+           ns_volatility_stat(s, p, k, xv, mode, ls), ns_return_stat),
+    "INT": (INT, int_volatility_stats, int_return_stats,
+            lambda s, ls, p, n, k, xv, mode:
+            int_volatility_stat(s, p, n, k, xv, mode, ls), int_return_stat),
+    "NE": (NE_WIDE, ne_volatility_stats, ne_return_stats,
+           lambda s, ls, p, n, k, xv, mode:
+           ne_volatility_stat(s, p, n, k, xv, mode, ls), ne_return_stat),
+}
+
+
+def _fields(sv):
+    return (np.float64(sv.value).view(np.uint64),
+            np.float64(sv.log_magnitude).view(np.uint64),
+            np.float64(sv.sign).view(np.uint64), sv.degenerate)
+
+
+def _assert_batch_matches(batch_fn, element_fns):
+    """The batch equals its elements bit for bit, or raises when any
+    element raises (with one of the elements' exception types)."""
+    singles = []
+    for fn in element_fns:
+        try:
+            singles.append(fn())
+        except (ArithmeticError, ValueError) as exc:
+            singles.append(type(exc))
+    errors = tuple({one for one in singles if isinstance(one, type)})
+    if errors:
+        with pytest.raises(errors):
+            batch_fn()
+        return
+    batch = batch_fn()
+    for i, one in enumerate(singles):
+        assert _fields(batch[i]) == _fields(one), i
+
+
+class TestArrayForms:
+    @pytest.mark.parametrize("mode", [CLASSICAL, LITERAL])
+    @pytest.mark.parametrize("regime", sorted(ARRAY_FORMS))
+    @given(k=st.integers(50, 5000),
+           draws=st.lists(st.tuples(st.floats(-5.0, 760.0),
+                                    st.floats(-6.0, 6.0)
+                                    | st.sampled_from([0.0, -0.0])),
+                          max_size=10),
+           log_track=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_array_equals_scalar_elementwise(self, regime, mode, k, draws,
+                                             log_track):
+        params, vol_stats, ret_stats, vol_one, ret_one = ARRAY_FORMS[regime]
+        n, xv = params.n, 2.0
+        # always present: L >= 700 (NE log-space branch), zero returns of
+        # both signs, and (k >= 50, literal) a degenerate small sigma^2
+        ls = np.array([705.0, 2.0, 2.0] + [d[0] for d in draws])
+        eps = np.array([1.3, 0.0, -0.0] + [d[1] for d in draws])
+        s = np.array([math.exp(x) if x < 709.0 else math.inf for x in ls])
+        u, log_abs_u = checkpoint_returns(s, ls, eps)
+        if not log_track:
+            ls = log_abs_u = None
+
+        def at(x, i):
+            return None if x is None else float(x[i])
+
+        idx = range(len(s))
+        _assert_batch_matches(
+            lambda: vol_stats(s, ls, params, n, k, xv, mode),
+            [lambda i=i: vol_one(float(s[i]), at(ls, i), params, n, k, xv,
+                                 mode) for i in idx])
+        _assert_batch_matches(
+            lambda: ret_stats(u, log_abs_u, params, k, mode),
+            [lambda i=i: ret_one(float(u[i]), params, k, mode,
+                                 at(log_abs_u, i)) for i in idx])
+
+    def test_cancelling_element_fails_the_batch(self):
+        k = 1000
+        center = NE.omega * geometric_exp_sum(NE.gamma_n, k)
+        sigma = np.array([2.0 * center, center * (1.0 + 1e-13), 0.5 * center])
+        with pytest.raises(CancellationError):
+            ne_volatility_stats(sigma, None, NE, 5000, k, 2.0)
+        # the same in log space, where the centre exceeds e^700
+        k = 4500
+        log_center = log_geometric_exp_sum(NE_WIDE.gamma_n, k)
+        assert log_center > 700.0
+        log_sigma = np.array([log_center + 1.0, log_center, log_center - 1.0])
+        with pytest.raises(CancellationError):
+            ne_volatility_stats(np.full(3, math.inf), log_sigma, NE_WIDE,
+                                5000, k, 2.0)
