@@ -2,9 +2,10 @@
 
 Subcommands: simulate, verify, diagnose, sweep.  Exit codes: 0 all
 enabled statistical tests pass, 1 a statistical test fails, 2 usage or
-configuration error.  All numeric file output is printed with 17
-significant digits and is byte-identical across reruns with the same
-master seed.
+configuration error, 3 a statistic lost all its significant digits to
+cancellation (the message names the checkpoint k).  All numeric file
+output is printed with 17 significant digits and is byte-identical
+across reruns with the same master seed.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ from .innovations import RngStream
 from .localization import classify_regime
 from .simulate import (CLASSICAL, LITERAL, decompose_volatility,
                        export_path_csv, simulate_path)
+from .stats import CancellationError
 
 EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
 EXIT_CONFIG = 2
+EXIT_CANCELLATION = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -227,6 +230,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except CancellationError as exc:
+        print(f"error: numerical cancellation: {exc}", file=sys.stderr)
+        return EXIT_CANCELLATION
 
 
 if __name__ == "__main__":

@@ -24,10 +24,10 @@ from .localization import (GarchParams, LocalizationScheme, Regime,
                            classify_regime, realize_params)
 from .simulate import (CLASSICAL, LITERAL, MODES, GarchPath,
                        decompose_volatility)
-from .stats import (CheckpointGrid, checkpoint_returns, int_return_stats,
-                    int_volatility_stats, lemma_discrepancy, ne_return_stats,
-                    ne_volatility_stats, ns_return_stats, ns_volatility_stats,
-                    tau_stats)
+from .stats import (CancellationError, CheckpointGrid, checkpoint_returns,
+                    int_return_stats, int_volatility_stats, lemma_discrepancy,
+                    ne_return_stats, ne_volatility_stats, ns_return_stats,
+                    ns_volatility_stats, tau_stats)
 
 ALL_TESTS = ("vol_gof", "ret_gof", "independence", "lemma", "remainders",
              "tau_coupling")
@@ -198,8 +198,9 @@ def validate_config(config: McConfig) -> GarchParams:
     return params
 
 
-def _simulate_chunked(config: McConfig, params: GarchParams):
-    """Yield (first_rep_index, eps, sigma_sq, log_sigma_sq, overflow)."""
+def _simulate_chunked(config: McConfig, params: GarchParams, keep):
+    """Yield (first_rep_index, eps, sigma_sq, log_sigma_sq, overflow),
+    the two tracks at the time indices keep only."""
     n = config.n
     chunk = max(1, int(4e7 // (n + 1)))
     for start in range(0, config.reps, chunk):
@@ -209,10 +210,11 @@ def _simulate_chunked(config: McConfig, params: GarchParams):
             stream = RngStream(config.master_seed, i)
             eps[i - start] = sample_innovations(config.innovation, n + 1,
                                                 stream)
-        sigma_sq, log_sigma_sq, overflow = recursion_batch(
+        yield (start, eps) + recursion_batch(
             eps, params.omega, params.alpha_n, params.beta_n,
-            params.sigma0_sq)
-        yield start, eps, sigma_sq, log_sigma_sq, overflow
+            params.sigma0_sq, keep=keep)
+        # release this chunk before the next one is drawn
+        del eps
 
 
 def _sorted_mean(values: np.ndarray) -> float:
@@ -258,19 +260,17 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
     rem_rows = [] if "remainders" in config.tests else None
 
     for start, eps, sigma_sq, log_sigma_sq, overflow in \
-            _simulate_chunked(config, params):
+            _simulate_chunked(config, params, ks):
         rows = slice(start, start + eps.shape[0])
-        sigma_k[:, rows] = sigma_sq[:, ks].T
-        log_sigma_k[:, rows] = log_sigma_sq[:, ks].T
+        sigma_k[:, rows] = sigma_sq.T
+        log_sigma_k[:, rows] = log_sigma_sq.T
         eps_k[:, rows] = eps[:, ks].T
         if need_paths:
             for r in range(eps.shape[0]):
                 i = start + r
-                with np.errstate(invalid="ignore"):
-                    u = np.sqrt(sigma_sq[r]) * eps[r]
-                path = GarchPath(n=n, eps=eps[r], xi=eps[r] ** 2 - 1.0, u=u,
-                                 sigma_sq=sigma_sq[r],
-                                 log_sigma_sq=log_sigma_sq[r],
+                # the diagnostics read only n and xi
+                path = GarchPath(n=n, eps=eps[r], xi=eps[r] ** 2 - 1.0,
+                                 u=None, sigma_sq=None, log_sigma_sq=None,
                                  master_seed=config.master_seed,
                                  stream_index=i,
                                  overflow_at=int(overflow[r]))
@@ -286,13 +286,20 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
                     dec = decompose_volatility(path, params, k_diag, mode)
                     rem_rows.append((abs(dec.r1), dec.r2_max, dec.r2_lil_max,
                                      dec.r3_rel_max))
+            del path
+        # release this chunk before the next one is drawn
+        del eps, sigma_sq, log_sigma_sq
 
-    vol = np.column_stack([
-        spec.vol_stats(s, ls, params, n, k, xi_var, mode).value
-        for k, s, ls in zip(ks, sigma_k, log_sigma_k)])
-    ret = np.column_stack([
-        spec.ret_stats(*checkpoint_returns(s, ls, e), params, k, mode).value
-        for k, s, ls, e in zip(ks, sigma_k, log_sigma_k, eps_k)])
+    vol, ret = np.empty((reps, len(ks))), np.empty((reps, len(ks)))
+    for m, k in enumerate(ks):
+        s, ls = sigma_k[m], log_sigma_k[m]
+        try:
+            vol[:, m] = spec.vol_stats(s, ls, params, n, k, xi_var,
+                                       mode).value
+            ret[:, m] = spec.ret_stats(*checkpoint_returns(s, ls, eps_k[m]),
+                                       params, k, mode).value
+        except CancellationError as exc:
+            raise CancellationError(f"checkpoint k={k}: {exc}") from exc
     if vol_shift != 0.0:
         vol = vol + vol_shift
 

@@ -33,9 +33,10 @@ class GarchPath:
     n: int
     eps: np.ndarray          # eps_0 .. eps_n
     xi: np.ndarray           # eps^2 - 1
-    u: np.ndarray            # returns sigma_t * eps_t
-    sigma_sq: np.ndarray     # sigma_0^2 given; inf past an overflow
-    log_sigma_sq: np.ndarray  # always finite, exact in log space
+    # None on the harness's diagnostic paths, which carry only eps and xi
+    u: Optional[np.ndarray]             # returns sigma_t * eps_t
+    sigma_sq: Optional[np.ndarray]      # sigma_0^2 given; inf past an overflow
+    log_sigma_sq: Optional[np.ndarray]  # always finite, exact in log space
     master_seed: int
     stream_index: int
     overflow_at: int = -1    # first t with non-representable sigma^2, or -1

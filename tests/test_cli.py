@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,7 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from mdgarch import harness
 from mdgarch.cli import main
+from mdgarch.localization import Regime
+from mdgarch.stats import CancellationError
 
 
 def write_config(path, *, c_gamma=-1.0, kappa=0.4, p=0.5, n=1500, reps=150,
@@ -80,6 +84,26 @@ class TestVerify:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path)]) == 2
+
+    def test_cancellation_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a statistic that loses all its digits is neither a statistical
+        # FAIL (1) nor a traceback
+        spec = harness.REGIMES[Regime.NEAR_STATIONARY]
+
+        def vol_stats(sigma_k_sq, log_sigma_k_sq, params, n, k, *args):
+            if k == 800:
+                raise CancellationError("centered difference lost all "
+                                        "significant digits")
+            return spec.vol_stats(sigma_k_sq, log_sigma_k_sq, params, n, k,
+                                  *args)
+
+        monkeypatch.setitem(harness.REGIMES, Regime.NEAR_STATIONARY,
+                            dataclasses.replace(spec, vol_stats=vol_stats))
+        cfg = write_config(tmp_path / "c.json", n=2000, reps=200, seed=7)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "k=800" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("c_gamma", [1e-20, 5e-324, -5e-324])
     def test_gamma_lost_in_beta_exit_2(self, tmp_path, capsys, c_gamma):

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from mdgarch import kernels
 from mdgarch.innovations import InnovationSpec, RngStream
-from mdgarch.kernels import USE_NUMBA, _recursion_batch_py, recursion_batch
+from mdgarch.kernels import BLOCK, USE_NUMBA, recursion_batch
 from mdgarch.localization import (GarchParams, LocalizationScheme,
                                   realize_params)
 from mdgarch.simulate import (CLASSICAL, LITERAL, decompose_volatility,
@@ -16,6 +17,61 @@ from mdgarch.simulate import (CLASSICAL, LITERAL, decompose_volatility,
                               volatility_multiplicative)
 
 NORMAL = InnovationSpec(kind="standard-normal")
+
+
+def recursion_loop(eps, omega, alpha, beta, sigma0_sq):
+    """Reference batched recursion: one vectorized step per column.
+
+    eps has shape (reps, n+1); returns (sigma_sq, log_sigma_sq,
+    overflow_at) where overflow_at[r] is the first t with non-finite
+    sigma_sq (or -1).  Past an overflow the linear track is inf and the
+    log track continues exactly in log space.
+    """
+    reps, n1 = eps.shape
+    n = n1 - 1
+    sigma_sq = np.empty((reps, n + 1))
+    log_sigma_sq = np.empty((reps, n + 1))
+    overflow_at = np.full(reps, -1, dtype=np.int64)
+
+    sigma_sq[:, 0] = sigma0_sq
+    log_sigma_sq[:, 0] = math.log(sigma0_sq)
+    log_omega = math.log(omega)
+    log_alpha = math.log(alpha) if alpha > 0.0 else -math.inf
+    log_beta = math.log(beta) if beta > 0.0 else -math.inf
+
+    for t in range(1, n + 1):
+        e2 = eps[:, t - 1] ** 2
+        prev = sigma_sq[:, t - 1]
+        # overflow to inf is expected on explosive paths; the log track
+        # below carries the exact value onward
+        with np.errstate(over="ignore"):
+            cur = omega + (alpha * e2 + beta) * prev
+        sigma_sq[:, t] = cur
+        finite = np.isfinite(cur)
+        log_sigma_sq[finite, t] = np.log(cur[finite])
+        bad = ~finite
+        if bad.any():
+            lp = log_sigma_sq[bad, t - 1]
+            with np.errstate(divide="ignore"):
+                growth = np.logaddexp(log_alpha + np.log(e2[bad]), log_beta)
+            log_sigma_sq[bad, t] = np.logaddexp(log_omega, growth + lp)
+            newly = bad & (overflow_at < 0)
+            overflow_at[newly] = t
+    return sigma_sq, log_sigma_sq, overflow_at
+
+
+def assert_matches_loop(eps, omega, alpha, beta, sigma0_sq, keep):
+    """recursion_batch equals recursion_loop at the kept columns, bit for
+    bit (nan positions included)."""
+    with np.errstate(invalid="ignore"):
+        want = recursion_loop(eps, omega, alpha, beta, sigma0_sq)
+    got = recursion_batch(eps, omega, alpha, beta, sigma0_sq, keep=keep)
+    if keep is not None:
+        want = (want[0][:, keep], want[1][:, keep], want[2])
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    return got
 
 
 def make_params(n=100, alpha=0.05, beta=0.9, omega=1.0, sigma0_sq=1.0):
@@ -87,7 +143,7 @@ class TestKernels:
     def test_numpy_fallback_agrees(self):
         eps = RngStream(7, 0).generator().standard_normal((8, 401))
         sig_a, log_a, ov_a = recursion_batch(eps, 1.0, 0.05, 0.9, 1.0)
-        sig_b, log_b, ov_b = _recursion_batch_py(eps, 1.0, 0.05, 0.9, 1.0)
+        sig_b, log_b, ov_b = recursion_loop(eps, 1.0, 0.05, 0.9, 1.0)
         # linear track and overflow flags bit-identical; log track to 1 ulp
         assert np.array_equal(sig_a, sig_b)
         assert np.array_equal(ov_a, ov_b)
@@ -112,7 +168,7 @@ class TestKernels:
             eps = RngStream(20260823, i).generator().standard_normal(
                 (1, n + 1))
             row = recursion_batch(eps, *args)
-            batch = _recursion_batch_py(eps, *args)
+            batch = recursion_loop(eps, *args)
             assert (row[2][0] >= 0) == overflows
             for a, b in zip(row, batch):
                 assert a.shape == b.shape and a.dtype == b.dtype
@@ -126,16 +182,76 @@ class TestKernels:
         eps[0, 1000::7] = 0.0
         row = recursion_batch(eps, 1.0, 100.0, 0.0, 1.0)
         with np.errstate(invalid="ignore"):
-            batch = _recursion_batch_py(eps, 1.0, 100.0, 0.0, 1.0)
+            batch = recursion_loop(eps, 1.0, 100.0, 0.0, 1.0)
         assert 0 <= batch[2][0] < 1000 and np.isnan(batch[0]).any()
         for a, b in zip(row, batch):
             assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(),
+           st.sampled_from([0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1,
+                            2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1]),
+           st.integers(1, 5), st.sampled_from([0.0, 0.05, 0.5, 2.0, 100.0]),
+           st.sampled_from([0.0, 0.9, 1.0, 1.5]),
+           st.sampled_from([1e-3, 1.0, 7.0]),
+           st.sampled_from([1.0, 0.3, 1e300]))
+    def test_blocked_kernel_matches_loop(self, data, n, reps, alpha, beta,
+                                         omega, sigma0_sq):
+        eps = RngStream(data.draw(st.integers(0, 2 ** 32)), 0).generator() \
+            .standard_normal((reps, n + 1))
+        for r in range(reps):
+            if n and data.draw(st.booleans(), label="spike"):
+                # alpha * e^2 overflows here once alpha >= 2
+                eps[r, data.draw(st.integers(0, n - 1))] = 1e154
+            if data.draw(st.booleans(), label="zeros"):
+                eps[r, data.draw(st.integers(0, n))::3] = 0.0
+        keep = data.draw(st.none() | st.lists(st.integers(0, n), max_size=6)
+                         .map(lambda ks: [0, *ks, n]), label="keep")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "USE_NUMBA", False)
+            assert_matches_loop(eps, omega, alpha, beta, sigma0_sq, keep)
+
+    @pytest.mark.parametrize("keep", [None, [0, 5, BLOCK, 2 * BLOCK + 1,
+                                             3 * BLOCK + 3, 3 * BLOCK + 7]])
+    def test_overflow_in_first_middle_last_block(self, monkeypatch, keep):
+        # alpha e^2 overflows at the spikes, in the first, a middle and the
+        # last of four blocks; beta = 0 and eps = 0 every third step past
+        # them give 0 * inf = nan on the linear track
+        monkeypatch.setattr(kernels, "USE_NUMBA", False)
+        n = 3 * BLOCK + 7
+        eps = RngStream(7, 3).generator().standard_normal((4, n + 1))
+        for r, t in enumerate((5, BLOCK + BLOCK // 2, 3 * BLOCK + 3)):
+            eps[r, t - 1] = 1e154
+            eps[r, t::3] = 0.0
+        got = assert_matches_loop(eps, 1.0, 2.0, 0.0, 1.0, keep)
+        assert list(got[2]) == [5, BLOCK + BLOCK // 2, 3 * BLOCK + 3, -1]
+        assert np.isnan(got[0][:3, -1]).all()
+        assert np.isfinite(got[1]).all()
+        for r in range(4):   # one-row batches take the plain-loop route
+            assert_matches_loop(eps[r:r + 1], 1.0, 2.0, 0.0, 1.0, keep)
+
+    def test_overflow_past_zero_factor_is_silent(self, monkeypatch):
+        monkeypatch.setattr(kernels, "USE_NUMBA", False)
+        eps = RngStream(7, 2).generator().standard_normal((3, 3001))
+        eps[:, 1000::7] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rows in (eps, eps[:1]):
+                out = recursion_batch(rows, 1.0, 100.0, 0.0, 1.0,
+                                      keep=[0, 1500, 3000])
+                assert (out[2] >= 0).all() and np.isnan(out[0]).any()
+
+    def test_keep_out_of_range(self):
+        eps = np.zeros((2, 11))
+        for keep in ([11], [-1]):
+            with pytest.raises(ValueError):
+                recursion_batch(eps, 1.0, 0.05, 0.9, 1.0, keep=keep)
 
     @pytest.mark.skipif(not USE_NUMBA, reason="numba unavailable/disabled")
     def test_numba_overflow_agrees(self):
         eps = RngStream(7, 1).generator().standard_normal((4, 2001))
         out_nb = recursion_batch(eps, 1.0, 0.5, 1.5, 1.0)
-        out_py = _recursion_batch_py(eps, 1.0, 0.5, 1.5, 1.0)
+        out_py = recursion_loop(eps, 1.0, 0.5, 1.5, 1.0)
         assert np.array_equal(out_nb[0], out_py[0])
         assert np.array_equal(out_nb[2], out_py[2])
         assert np.allclose(out_nb[1], out_py[1], rtol=1e-12)
