@@ -21,12 +21,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .harness import (QQ_REF_STREAM, REGIMES, ConfigurationError, McConfig,
-                      RegimeSpec, diag_checkpoint, run_experiment,
-                      run_n_sweep, sweep_verdict, validate_config)
+                      McReport, RegimeSpec, run_experiment, run_n_sweep,
+                      sweep_verdict, validate_config)
 from .innovations import RngStream
 from .localization import classify_regime
-from .simulate import (CLASSICAL, LITERAL, decompose_volatility,
-                       export_path_csv, simulate_path)
+from .simulate import CLASSICAL, LITERAL, export_path_csv, simulate_path
 from .stats import CancellationError
 
 EXIT_PASS = 0
@@ -149,27 +148,24 @@ def cmd_diagnose(args) -> int:
     config = dataclasses.replace(config, tests=tests)
     report = run_experiment(config)
     _write(args.out, "diagnostics.json", report.to_json() + "\n")
-    _write(args.out, "components.csv", _components_csv(config, params))
+    _write(args.out, "components.csv", _components_csv(report))
     _write(args.out, "qq.csv", _qq_csv(config, spec, report))
     print(f"wrote diagnostics to {args.out}")
     return EXIT_PASS
 
 
-def _components_csv(config: McConfig, params) -> str:
-    """Decomposition component magnitudes for a handful of paths.
+def _components_csv(report: McReport) -> str:
+    """Decomposition component magnitudes of the first 20 replications,
+    read off the decompositions of the report's remainders test.
 
     Classical rows carry linear values; literal rows carry log10
     magnitudes plus signs and the degenerate flag required when the
     linear value is not representable.
     """
-    k = diag_checkpoint(config.n)
     lines = ["rep,component,value_or_log10,sign,literal_degenerate"]
-    for i in range(min(config.reps, 20)):
-        path = simulate_path(params, config.innovation,
-                             RngStream(config.master_seed, i))
-        dec = decompose_volatility(path, params, k, config.mode)
+    for i, dec in enumerate(report.decompositions[:20]):
         for c, comp in enumerate(dec.components, start=1):
-            if config.mode == CLASSICAL:
+            if dec.mode == CLASSICAL:
                 lines.append("%d,%d,%.17g,%d,0" % (
                     i, c, comp, 1 if comp >= 0 else -1))
             else:

@@ -22,8 +22,8 @@ from .innovations import (InnovationSpec, RngStream, innovation_cdf,
 from .kernels import recursion_batch
 from .localization import (GarchParams, LocalizationScheme, Regime,
                            classify_regime, realize_params)
-from .simulate import (CLASSICAL, LITERAL, MODES, GarchPath,
-                       decompose_volatility)
+from .simulate import (CLASSICAL, LITERAL, MODES, DecompositionReport,
+                       GarchPath, decompose_volatility)
 from .stats import (CancellationError, CheckpointGrid, checkpoint_returns,
                     int_return_stats, int_volatility_stats, lemma_discrepancy,
                     ne_return_stats, ne_volatility_stats, ns_return_stats,
@@ -135,6 +135,10 @@ class McReport:
     # raw per-replication statistic matrices, not serialized
     vol_stats: Optional[np.ndarray] = field(default=None, repr=False)
     ret_stats: Optional[np.ndarray] = field(default=None, repr=False)
+    # per-replication decompositions at the diagnostic checkpoint (the
+    # "remainders" test only), not serialized
+    decompositions: Optional[Sequence[DecompositionReport]] = field(
+        default=None, repr=False)
 
     def to_json(self) -> str:
         doc = {"config": self.config, "regime": self.regime,
@@ -257,7 +261,7 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
     need_paths = {"lemma", "remainders", "tau_coupling"} & set(config.tests)
     lemma_vals = np.empty(reps) if "lemma" in config.tests else None
     tau_vals = np.empty(reps) if "tau_coupling" in config.tests else None
-    rem_rows = [] if "remainders" in config.tests else None
+    decomps = [] if "remainders" in config.tests else None
 
     for start, eps, sigma_sq, log_sigma_sq, overflow in \
             _simulate_chunked(config, params, ks):
@@ -282,24 +286,33 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
                     tau, tau_star = tau_stats(path, params, k_diag, mode)
                     tau_vals[i] = (math.sqrt(2.0 * abs(g) ** 3) * tau_star
                                    - math.sqrt(2.0 * abs(g)) * tau) ** 2
-                if rem_rows is not None:
-                    dec = decompose_volatility(path, params, k_diag, mode)
-                    rem_rows.append((abs(dec.r1), dec.r2_max, dec.r2_lil_max,
-                                     dec.r3_rel_max))
+                if decomps is not None:
+                    decomps.append(decompose_volatility(path, params, k_diag,
+                                                        mode))
             del path
         # release this chunk before the next one is drawn
         del eps, sigma_sq, log_sigma_sq
 
+    def checkpoint_stats(m, k, r=slice(None)):
+        s, ls = sigma_k[m, r], log_sigma_k[m, r]
+        return (spec.vol_stats(s, ls, params, n, k, xi_var, mode).value,
+                spec.ret_stats(*checkpoint_returns(s, ls, eps_k[m, r]),
+                               params, k, mode).value)
+
     vol, ret = np.empty((reps, len(ks))), np.empty((reps, len(ks)))
     for m, k in enumerate(ks):
-        s, ls = sigma_k[m], log_sigma_k[m]
         try:
-            vol[:, m] = spec.vol_stats(s, ls, params, n, k, xi_var,
-                                       mode).value
-            ret[:, m] = spec.ret_stats(*checkpoint_returns(s, ls, eps_k[m]),
-                                       params, k, mode).value
+            vol[:, m], ret[:, m] = checkpoint_stats(m, k)
         except CancellationError as exc:
-            raise CancellationError(f"checkpoint k={k}: {exc}") from exc
+            # a batch raises when any element cancels; name the first
+            where = f"checkpoint k={k}"
+            for i in range(reps):
+                try:
+                    checkpoint_stats(m, k, slice(i, i + 1))
+                except CancellationError:
+                    where += f", replication {i}"
+                    break
+            raise CancellationError(f"{where}: {exc}") from exc
     if vol_shift != 0.0:
         vol = vol + vol_shift
 
@@ -317,8 +330,9 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
         results["tau_coupling"] = {"k": k_diag,
                                    "estimate": _sorted_mean(tau_vals),
                                    "pass": True}
-    if rem_rows is not None:
-        rem = np.asarray(rem_rows)
+    if decomps is not None:
+        rem = np.array([(abs(d.r1), d.r2_max, d.r2_lil_max, d.r3_rel_max)
+                        for d in decomps])
         results["remainders"] = {
             "k": k_diag,
             "r1_abs_median": _sorted_median(rem[:, 0]),
@@ -340,7 +354,7 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
     return McReport(config=config.to_config(), regime=regime.value,
                     checkpoints=ks, results=results, moments=moments,
                     master_seed=config.master_seed, verdict=verdict,
-                    vol_stats=vol, ret_stats=ret)
+                    vol_stats=vol, ret_stats=ret, decompositions=decomps)
 
 
 def _gof_entry(res: gof.GofResult, k: int) -> dict:

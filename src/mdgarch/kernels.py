@@ -1,51 +1,29 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""The volatility recursion sigma_t^2 = omega + (alpha eps_{t-1}^2 + beta)
+sigma_{t-1}^2 for a batch of innovation rows, on numpy alone.
 
-The GARCH recursion dominates runtime in Monte Carlo sweeps.  Two
-implementations are provided:
+A batch of several rows runs a time-major kernel.  Per block of
+``BLOCK`` steps it computes the factors ``alpha*(e*e) + beta`` as a
+(block, reps) array, advances each step as an in-place multiply and add
+on one contiguous row and copies out only the kept columns.  A batch of
+one row runs its linear track as a plain Python-float loop, since
+per-step numpy dispatch on length-1 arrays costs far more than the
+arithmetic.  Both routes share the log track: one ``np.log`` over the
+kept finite entries, then ``logaddexp`` log-space steps only for rows
+that overflowed, from their first overflow on.
 
-* a numba ``@njit`` kernel that loops over replications and time steps,
-* a time-major numpy kernel.  Per block of ``BLOCK`` steps it computes
-  the factors ``alpha*(e*e) + beta`` as a (block, reps) array, advances
-  each step as an in-place multiply and add on one contiguous row and
-  copies out only the kept columns.  The log track is one ``np.log``
-  over the kept finite entries; the ``logaddexp`` log-space steps run
-  only for rows that overflowed, from their first overflow on.  A batch
-  of one row runs its linear track as a plain Python-float loop, since
-  per-step numpy dispatch on length-1 arrays costs far more than the
-  arithmetic.  Both are bit-identical to a step-by-step loop over the
-  columns, which the tests keep as the reference.
-
-``recursion_batch(..., keep=cols)`` returns the tracks only at the time
-indices ``cols`` (the numba kernel's full output is sliced).  Selection:
-numba is used when importable unless the environment variable
-``MDGARCH_NO_NUMBA`` is set to a non-empty value.  Both paths produce
-bit-identical linear volatilities and overflow flags; the log track may
-differ by one unit in the last place (libm vs vectorized log).
+Contract: on all three outputs (linear track, log track, overflow
+index) ``recursion_batch`` is bit-identical to the step-by-step loop
+over the columns that ``tests/test_simulate.py`` keeps as the reference.
 """
 from __future__ import annotations
 
 import math
-import os
 from typing import Optional, Sequence
 
 import numpy as np
 
-_ENV_FLAG = "MDGARCH_NO_NUMBA"
-
-
-def _numba_requested() -> bool:
-    return not os.environ.get(_ENV_FLAG, "")
-
-
+#: read by perfbench/run.py ``_environment``; there is no numba kernel
 USE_NUMBA = False
-if _numba_requested():
-    try:
-        from numba import njit, prange
-
-        USE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is the optional [numba] extra
-        USE_NUMBA = False
-
 
 #: time steps per block of the numpy kernel; a (BLOCK, reps) factor array
 #: stays cache-sized while each step's numpy calls cover every replication
@@ -154,48 +132,6 @@ def _with_log_track(eps, omega, alpha, beta, sigma0_sq, cols, sigma_sq,
     return sigma_sq, log_sigma_sq, overflow_at
 
 
-if USE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _recursion_batch_nb(eps, omega, alpha, beta, sigma0_sq):  # pragma: no cover
-        reps, n1 = eps.shape
-        n = n1 - 1
-        sigma_sq = np.empty((reps, n + 1))
-        log_sigma_sq = np.empty((reps, n + 1))
-        overflow_at = np.full(reps, -1, dtype=np.int64)
-        log_omega = math.log(omega)
-        log_alpha = math.log(alpha) if alpha > 0.0 else -math.inf
-        log_beta = math.log(beta) if beta > 0.0 else -math.inf
-
-        for r in prange(reps):
-            sigma_sq[r, 0] = sigma0_sq
-            log_sigma_sq[r, 0] = math.log(sigma0_sq)
-            for t in range(1, n + 1):
-                e2 = eps[r, t - 1] * eps[r, t - 1]
-                cur = omega + (alpha * e2 + beta) * sigma_sq[r, t - 1]
-                sigma_sq[r, t] = cur
-                if math.isfinite(cur):
-                    log_sigma_sq[r, t] = math.log(cur)
-                else:
-                    a = log_alpha + math.log(e2) if e2 > 0.0 else -math.inf
-                    if a > log_beta:
-                        growth = a + math.log1p(math.exp(log_beta - a))
-                    elif math.isinf(a):
-                        growth = log_beta
-                    else:
-                        growth = log_beta + math.log1p(math.exp(a - log_beta))
-                    lp = growth + log_sigma_sq[r, t - 1]
-                    if lp > log_omega:
-                        log_sigma_sq[r, t] = lp + math.log1p(math.exp(log_omega - lp))
-                    else:
-                        log_sigma_sq[r, t] = log_omega + math.log1p(math.exp(lp - log_omega))
-                    if overflow_at[r] < 0:
-                        overflow_at[r] = t
-
-
-        return sigma_sq, log_sigma_sq, overflow_at
-
-
 def recursion_batch(eps: np.ndarray, omega: float, alpha: float, beta: float,
                     sigma0_sq: float,
                     keep: Optional[Sequence[int]] = None):
@@ -211,9 +147,6 @@ def recursion_batch(eps: np.ndarray, omega: float, alpha: float, beta: float,
     cols = np.arange(n1) if keep is None else np.asarray(keep, dtype=np.intp)
     if cols.size and not 0 <= cols.min() <= cols.max() < n1:
         raise ValueError(f"keep must lie in [0, {n1 - 1}]")
-    args = (eps, float(omega), float(alpha), float(beta), float(sigma0_sq))
-    if USE_NUMBA:
-        sigma_sq, log_sigma_sq, overflow_at = _recursion_batch_nb(*args)
-        return sigma_sq[:, cols], log_sigma_sq[:, cols], overflow_at
     kernel = _recursion_row_py if eps.shape[0] == 1 else _recursion_blocked_py
-    return kernel(*args, cols)
+    return kernel(eps, float(omega), float(alpha), float(beta),
+                  float(sigma0_sq), cols)

@@ -174,9 +174,12 @@ def decompose_volatility(path: GarchPath, params: GarchParams, k: int,
 
     ejg = np.exp(g_eff * j[:k - 1])      # e^{j g_eff}, j = 1..k-1
     base = 1.0 + a_s[:k - 1]
-    inner4 = float(np.dot(ejg, base))
-    inner3 = float(np.dot(ejg, r2[:k - 1]))
-    inner2 = float(np.dot(ejg, (base + r2[:k - 1]) * np.expm1(r3[:k - 1])))
+    # numpy's pairwise sum has a fixed order; np.dot's BLAS sum is split
+    # by thread count, so its last bits depend on the host
+    inner4 = float(np.add.reduce(ejg * base))
+    inner3 = float(np.add.reduce(ejg * r2[:k - 1]))
+    inner2 = float(np.add.reduce(
+        ejg * ((base + r2[:k - 1]) * np.expm1(r3[:k - 1]))))
 
     if mode == CLASSICAL:
         c1 = params.sigma0_sq * math.exp(log_prod[-1])

@@ -385,13 +385,16 @@ def _tau_pair(path: GarchPath, params: GarchParams, k: int,
     xi_rev = path.xi[k - 1::-1]
     s = np.cumsum(xi_rev)
     j = np.arange(1, k, dtype=float)
+    # weighted sums by numpy's fixed-order pairwise sum, not np.dot, whose
+    # BLAS sum order (and last bits) follows the thread count
     if mode == CLASSICAL:
         wgt = np.exp(g * j)
-        return float(np.dot(wgt, xi_rev[:k - 1])), float(np.dot(wgt, s[:k - 1]))
+        return (float(np.add.reduce(wgt * xi_rev[:k - 1])),
+                float(np.add.reduce(wgt * s[:k - 1])))
     rk = math.sqrt(k)
     wgt = np.exp(g / rk * j)
-    return (float(np.dot(wgt, xi_rev[:k - 1])) / k ** 0.25,
-            float(np.dot(wgt, s[:k - 1])) / rk)
+    return (float(np.add.reduce(wgt * xi_rev[:k - 1])) / k ** 0.25,
+            float(np.add.reduce(wgt * s[:k - 1])) / rk)
 
 
 def lemma_discrepancy(path: GarchPath, params: GarchParams, k: int,
@@ -407,13 +410,14 @@ def lemma_discrepancy(path: GarchPath, params: GarchParams, k: int,
     xi_rev = path.xi[k - 1::-1]
     s = np.cumsum(xi_rev)
     j = np.arange(1, k, dtype=float)
+    # fixed-order sums, as in _tau_pair
     if mode == CLASSICAL:
         wgt = g * np.exp(g * (j - k))          # gamma e^{-k gamma} e^{j gamma}
-        gap = float(np.dot(wgt, s[:k - 1])) - float(s[k - 2])
+        gap = float(np.add.reduce(wgt * s[:k - 1])) - float(s[k - 2])
         return gap * gap / params.n
     rk = math.sqrt(k)
     wgt = (g / rk) * np.exp(g / rk * (j - k))
-    gap = float(np.dot(wgt, s[:k - 1])) - float(s[k - 2])
+    gap = float(np.add.reduce(wgt * s[:k - 1])) - float(s[k - 2])
     return gap * gap / k
 
 

@@ -8,7 +8,9 @@ import pytest
 
 from mdgarch import harness
 from mdgarch.cli import main
-from mdgarch.localization import Regime
+from mdgarch.innovations import InnovationSpec, RngStream
+from mdgarch.localization import LocalizationScheme, Regime, realize_params
+from mdgarch.simulate import decompose_volatility, simulate_path
 from mdgarch.stats import CancellationError
 
 
@@ -105,6 +107,32 @@ class TestVerify:
         assert "k=800" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cancellation_names_the_replication(self, tmp_path, capsys,
+                                                monkeypatch):
+        # only replication 37 cancels at k = 800; the batch raises, and
+        # the message names the checkpoint and that replication
+        cfg = write_config(tmp_path / "c.json", n=2000, reps=200, seed=7)
+        doc = json.loads(cfg.read_text())
+        params = realize_params(LocalizationScheme.from_config(doc["scheme"]),
+                                2000)
+        target = simulate_path(params, InnovationSpec("standard-normal"),
+                               RngStream(7, 37)).sigma_sq[800]
+        spec = harness.REGIMES[Regime.NEAR_STATIONARY]
+
+        def vol_stats(sigma_k_sq, log_sigma_k_sq, params, n, k, *args):
+            if k == 800 and (sigma_k_sq == target).any():
+                raise CancellationError("centered difference lost all "
+                                        "significant digits")
+            return spec.vol_stats(sigma_k_sq, log_sigma_k_sq, params, n, k,
+                                  *args)
+
+        monkeypatch.setitem(harness.REGIMES, Regime.NEAR_STATIONARY,
+                            dataclasses.replace(spec, vol_stats=vol_stats))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "checkpoint k=800, replication 37:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("c_gamma", [1e-20, 5e-324, -5e-324])
     def test_gamma_lost_in_beta_exit_2(self, tmp_path, capsys, c_gamma):
         # the scheme cannot carry its regime at n = 10: a configuration
@@ -161,6 +189,35 @@ class TestDiagnose:
         rem = doc["results"]["remainders"]
         for key in ("r1_abs_median", "r2_max_median", "r3_rel_median"):
             assert math.isfinite(rem[key])
+
+    @pytest.mark.parametrize("mode", ["classical", "literal"])
+    def test_components_are_the_paths_decompositions(self, tmp_path, mode):
+        # the rows of the first 20 replications equal the decomposition of
+        # each replication's own simulated path
+        cfg = write_config(tmp_path / "c.json", n=600, reps=25, mode=mode)
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rows = [row.split(",") for row in
+                (out / "components.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 20 * 4
+        params = realize_params(LocalizationScheme.from_config(
+            json.loads(cfg.read_text())["scheme"]), 600)
+        k = harness.diag_checkpoint(600)
+        for i in range(20):
+            path = simulate_path(params, InnovationSpec("standard-normal"),
+                                 RngStream(11, i))
+            dec = decompose_volatility(path, params, k, mode)
+            for c, comp in enumerate(dec.components):
+                rep, comp_no, value, sign, _ = rows[4 * i + c]
+                assert (int(rep), int(comp_no)) == (i, c + 1)
+                if mode == "classical":
+                    assert (float(value), int(sign)) == \
+                        (comp, 1 if comp >= 0 else -1)
+                else:
+                    log_mag, comp_sign = comp
+                    assert float(value) == log_mag / math.log(10.0)
+                    assert int(sign) == int(comp_sign)
 
     def test_degenerate_innovation_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")

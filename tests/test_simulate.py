@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdgarch import kernels
 from mdgarch.innovations import InnovationSpec, RngStream
-from mdgarch.kernels import BLOCK, USE_NUMBA, recursion_batch
+from mdgarch.kernels import BLOCK, recursion_batch
 from mdgarch.localization import (GarchParams, LocalizationScheme,
                                   realize_params)
 from mdgarch.simulate import (CLASSICAL, LITERAL, decompose_volatility,
@@ -155,10 +154,9 @@ class TestKernels:
         (1.0, 0.5, 0.6, 5000, False),
         (1.0, 0.5, 0.2, 20000, True),
     ])
-    def test_single_row_bit_identical(self, monkeypatch, c_gamma, p, kappa,
-                                      n, overflows):
-        # a batch of one row takes the plain-loop route of the fallback
-        monkeypatch.setattr(kernels, "USE_NUMBA", False)
+    def test_single_row_bit_identical(self, c_gamma, p, kappa, n,
+                                      overflows):
+        # a batch of one row takes the plain-loop route
         params = realize_params(
             LocalizationScheme(omega=1.0, sigma0_sq=1.0, c_alpha=1.0, p=p,
                                c_gamma=c_gamma, kappa=kappa), n)
@@ -174,10 +172,9 @@ class TestKernels:
                 assert a.shape == b.shape and a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes()
 
-    def test_single_row_nan_after_overflow(self, monkeypatch):
+    def test_single_row_nan_after_overflow(self):
         # beta = 0 and eps = 0 past an overflow give 0 * inf = nan on the
-        # linear track, as in the vectorized fallback
-        monkeypatch.setattr(kernels, "USE_NUMBA", False)
+        # linear track, as in the vectorized loop
         eps = RngStream(7, 2).generator().standard_normal((1, 3001))
         eps[0, 1000::7] = 0.0
         row = recursion_batch(eps, 1.0, 100.0, 0.0, 1.0)
@@ -207,17 +204,14 @@ class TestKernels:
                 eps[r, data.draw(st.integers(0, n))::3] = 0.0
         keep = data.draw(st.none() | st.lists(st.integers(0, n), max_size=6)
                          .map(lambda ks: [0, *ks, n]), label="keep")
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "USE_NUMBA", False)
-            assert_matches_loop(eps, omega, alpha, beta, sigma0_sq, keep)
+        assert_matches_loop(eps, omega, alpha, beta, sigma0_sq, keep)
 
     @pytest.mark.parametrize("keep", [None, [0, 5, BLOCK, 2 * BLOCK + 1,
                                              3 * BLOCK + 3, 3 * BLOCK + 7]])
-    def test_overflow_in_first_middle_last_block(self, monkeypatch, keep):
+    def test_overflow_in_first_middle_last_block(self, keep):
         # alpha e^2 overflows at the spikes, in the first, a middle and the
         # last of four blocks; beta = 0 and eps = 0 every third step past
         # them give 0 * inf = nan on the linear track
-        monkeypatch.setattr(kernels, "USE_NUMBA", False)
         n = 3 * BLOCK + 7
         eps = RngStream(7, 3).generator().standard_normal((4, n + 1))
         for r, t in enumerate((5, BLOCK + BLOCK // 2, 3 * BLOCK + 3)):
@@ -230,8 +224,7 @@ class TestKernels:
         for r in range(4):   # one-row batches take the plain-loop route
             assert_matches_loop(eps[r:r + 1], 1.0, 2.0, 0.0, 1.0, keep)
 
-    def test_overflow_past_zero_factor_is_silent(self, monkeypatch):
-        monkeypatch.setattr(kernels, "USE_NUMBA", False)
+    def test_overflow_past_zero_factor_is_silent(self):
         eps = RngStream(7, 2).generator().standard_normal((3, 3001))
         eps[:, 1000::7] = 0.0
         with warnings.catch_warnings():
@@ -246,15 +239,6 @@ class TestKernels:
         for keep in ([11], [-1]):
             with pytest.raises(ValueError):
                 recursion_batch(eps, 1.0, 0.05, 0.9, 1.0, keep=keep)
-
-    @pytest.mark.skipif(not USE_NUMBA, reason="numba unavailable/disabled")
-    def test_numba_overflow_agrees(self):
-        eps = RngStream(7, 1).generator().standard_normal((4, 2001))
-        out_nb = recursion_batch(eps, 1.0, 0.5, 1.5, 1.0)
-        out_py = recursion_loop(eps, 1.0, 0.5, 1.5, 1.0)
-        assert np.array_equal(out_nb[0], out_py[0])
-        assert np.array_equal(out_nb[2], out_py[2])
-        assert np.allclose(out_nb[1], out_py[1], rtol=1e-12)
 
 
 class TestMultiplicative:

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdgarch
 from mdgarch.innovations import InnovationSpec, RngStream
 from mdgarch.localization import (GarchParams, LocalizationScheme,
                                   realize_params)
@@ -337,6 +341,42 @@ class TestSeedInvariance:
         k = 1500
         assert float(ns_volatility_stat(path.sigma_sq[k], NS, k, 2.0)) == \
             float(ns_volatility_stat(replay.sigma_sq[k], NS, k, 2.0))
+
+    def test_path_diagnostics_independent_of_blas_threads(self):
+        # lemma, tau and the decomposition at k = 8e4 of one n = 1e5 path,
+        # as float bytes, under one and under two BLAS threads
+        script = (
+            "import numpy as np\n"
+            "from mdgarch.innovations import RngStream\n"
+            "from mdgarch.localization import LocalizationScheme, "
+            "realize_params\n"
+            "from mdgarch.simulate import GarchPath, decompose_volatility\n"
+            "from mdgarch.stats import lemma_discrepancy, tau_stats\n"
+            "n, k = 100000, 80000\n"
+            "ns, ne = (realize_params(LocalizationScheme(omega=1.0, "
+            "sigma0_sq=1.0, c_alpha=1.0, p=0.5, c_gamma=c, kappa=0.6), n)\n"
+            "          for c in (-1.0, 1.0))\n"
+            "eps = RngStream(34, 0).generator().standard_normal(n + 1)\n"
+            "path = GarchPath(n=n, eps=eps, xi=eps ** 2 - 1.0, u=None,\n"
+            "                 sigma_sq=None, log_sigma_sq=None,\n"
+            "                 master_seed=34, stream_index=0)\n"
+            "vals = []\n"
+            "for mode in ('classical', 'literal'):\n"
+            "    vals.append(lemma_discrepancy(path, ne, k, mode))\n"
+            "    vals.extend(tau_stats(path, ns, k, mode))\n"
+            "    for params in (ns, ne):\n"
+            "        dec = decompose_volatility(path, params, k, mode)\n"
+            "        vals.extend(np.ravel(dec.components))\n"
+            "print(np.array(vals, dtype=float).tobytes().hex())\n")
+        src = os.path.dirname(os.path.dirname(mdgarch.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert outputs[0] == outputs[1]
 
 
 # gamma_n = n^{-0.2}: the NE centre passes e^700 from k ~ 3850 on
