@@ -23,11 +23,11 @@ from .kernels import recursion_batch
 from .localization import (GarchParams, LocalizationScheme, Regime,
                            classify_regime, realize_params)
 from .simulate import (CLASSICAL, LITERAL, MODES, DecompositionReport,
-                       GarchPath, decompose_volatility)
+                       decompose_rows)
 from .stats import (CancellationError, CheckpointGrid, checkpoint_returns,
-                    int_return_stats, int_volatility_stats, lemma_discrepancy,
+                    int_return_stats, int_volatility_stats, lemma_rows,
                     ne_return_stats, ne_volatility_stats, ns_return_stats,
-                    ns_volatility_stats, tau_stats)
+                    ns_volatility_stats, tau_rows)
 
 ALL_TESTS = ("vol_gof", "ret_gof", "independence", "lemma", "remainders",
              "tau_coupling")
@@ -35,6 +35,9 @@ GOF_TESTS = frozenset({"vol_gof", "ret_gof"})
 
 # diagnostic checkpoint for lemma / remainder / tau sweeps
 DIAG_FRACTION = 0.8
+# the path diagnostics run over blocks of replications whose (rows, k)
+# temporaries hold about this many doubles (256 KiB) each
+DIAG_BLOCK = 2 ** 15
 
 # stream index block reserved for reference-law sampling
 _REF_STREAM_BASE = 2 ** 32
@@ -259,37 +262,31 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
     log_sigma_k = np.empty((len(ks), reps))
     eps_k = np.empty((len(ks), reps))
     need_paths = {"lemma", "remainders", "tau_coupling"} & set(config.tests)
+    diag_rows = max(1, DIAG_BLOCK // k_diag)
     lemma_vals = np.empty(reps) if "lemma" in config.tests else None
     tau_vals = np.empty(reps) if "tau_coupling" in config.tests else None
     decomps = [] if "remainders" in config.tests else None
 
-    for start, eps, sigma_sq, log_sigma_sq, overflow in \
+    for start, eps, sigma_sq, log_sigma_sq, _ in \
             _simulate_chunked(config, params, ks):
         rows = slice(start, start + eps.shape[0])
         sigma_k[:, rows] = sigma_sq.T
         log_sigma_k[:, rows] = log_sigma_sq.T
         eps_k[:, rows] = eps[:, ks].T
-        if need_paths:
-            for r in range(eps.shape[0]):
-                i = start + r
-                # the diagnostics read only n and xi
-                path = GarchPath(n=n, eps=eps[r], xi=eps[r] ** 2 - 1.0,
-                                 u=None, sigma_sq=None, log_sigma_sq=None,
-                                 master_seed=config.master_seed,
-                                 stream_index=i,
-                                 overflow_at=int(overflow[r]))
-                if lemma_vals is not None:
-                    lemma_vals[i] = lemma_discrepancy(path, params, k_diag,
-                                                      mode)
-                if tau_vals is not None:
-                    g = params.gamma_n
-                    tau, tau_star = tau_stats(path, params, k_diag, mode)
-                    tau_vals[i] = (math.sqrt(2.0 * abs(g) ** 3) * tau_star
-                                   - math.sqrt(2.0 * abs(g)) * tau) ** 2
-                if decomps is not None:
-                    decomps.append(decompose_volatility(path, params, k_diag,
-                                                        mode))
-            del path
+        for a in range(0, eps.shape[0] if need_paths else 0, diag_rows):
+            xi = eps[a:a + diag_rows] ** 2 - 1.0
+            block = slice(start + a, start + a + xi.shape[0])
+            if lemma_vals is not None:
+                lemma_vals[block] = lemma_rows(xi, params, k_diag, mode)
+            if tau_vals is not None:
+                g = params.gamma_n
+                tau, tau_star = tau_rows(xi, params, k_diag, mode)
+                gap = (math.sqrt(2.0 * abs(g) ** 3) * tau_star
+                       - math.sqrt(2.0 * abs(g)) * tau)
+                # Python's float power; numpy's x * x differs in last bits
+                tau_vals[block] = [v ** 2 for v in gap.tolist()]
+            if decomps is not None:
+                decomps.extend(decompose_rows(xi, params, k_diag, mode))
         # release this chunk before the next one is drawn
         del eps, sigma_sq, log_sigma_sq
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Optional, Tuple
+from typing import IO, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,10 +33,9 @@ class GarchPath:
     n: int
     eps: np.ndarray          # eps_0 .. eps_n
     xi: np.ndarray           # eps^2 - 1
-    # None on the harness's diagnostic paths, which carry only eps and xi
-    u: Optional[np.ndarray]             # returns sigma_t * eps_t
-    sigma_sq: Optional[np.ndarray]      # sigma_0^2 given; inf past an overflow
-    log_sigma_sq: Optional[np.ndarray]  # always finite, exact in log space
+    u: np.ndarray            # returns sigma_t * eps_t
+    sigma_sq: np.ndarray     # sigma_0^2 given; inf past an overflow
+    log_sigma_sq: np.ndarray  # always finite, exact in log space
     master_seed: int
     stream_index: int
     overflow_at: int = -1    # first t with non-representable sigma^2, or -1
@@ -105,13 +104,6 @@ def _expm1_minus_x(x: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-def _log1p_minus_x_cumsum(x: np.ndarray) -> np.ndarray:
-    """Cumulative sums of log(1+x) - x (the product-form log remainder)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.log1p(x) - x
-    return np.cumsum(vals)
-
-
 @dataclass
 class DecompositionReport:
     k: int
@@ -151,60 +143,69 @@ def decompose_volatility(path: GarchPath, params: GarchParams, k: int,
         raise ValueError(f"unknown mode {mode!r}")
     if not 3 <= k <= path.n:
         raise ValueError("need 3 <= k <= n for log log diagnostics")
+    return decompose_rows(path.xi[None, :], params, k, mode)[0]
+
+
+def decompose_rows(xi: np.ndarray, params: GarchParams, k: int,
+                   mode: str) -> List[DecompositionReport]:
+    """decompose_volatility of each row of a xi block (rows, n+1)."""
     alpha, gamma, omega = params.alpha_n, params.gamma_n, params.omega
-    xi_rev = path.xi[k - 1::-1]          # xi_{k-1}, ..., xi_0
-    s = np.cumsum(xi_rev)                # S_j = sum_{i<=j} xi_{k-i}
+    # each (rows, k) array is dropped or reused once spent, 10 live at the
+    # peak: at k = 8e4, 13 instead of 12 pushed an n = 1e5 NE sweep over
+    # glibc's heap trim threshold (1e6 page faults, 9 s instead of 6 s)
+    xi_rev = xi[:, k - 1::-1]            # xi_{k-1}, ..., xi_0
     j = np.arange(1, k + 1, dtype=float)
 
     root = math.sqrt(k) if mode == LITERAL else 1.0
     x = (gamma + alpha * xi_rev) / root
-    a_s = (alpha / root) * s
+    a_s = (alpha / root) * np.cumsum(xi_rev, axis=1)  # alpha S_j
     g_eff = gamma / root
 
-    r3 = _log1p_minus_x_cumsum(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log1p_x = np.log1p(x)
+        # R3, the product-form log remainder: cumulative log(1+x) - x
+        r3 = np.cumsum(log1p_x - x, axis=1)
+    del x
+    log_prod = np.cumsum(log1p_x, axis=1, out=log1p_x)[:, -1]
     r2 = _expm1_minus_x(a_s)
-    log_prod = np.cumsum(np.log1p(x))
     # R1 from its exact identity: e^{-k g} prod - 1 - a S_k
-    r1 = float(np.expm1(log_prod[-1] - k * g_eff) - a_s[-1])
+    r1 = np.expm1(log_prod - k * g_eff) - a_s[:, -1]
 
-    r2_max = float(np.max(np.abs(r2)))
+    r2_max = np.max(np.abs(r2), axis=1)
     lil = np.maximum(np.log(np.log(j[2:])), 0.1) * j[2:]
-    r2_lil_max = float(np.max(np.abs(r2[2:]) / lil))
-    r3_rel_max = float(np.max(np.abs(r3) / j))
+    r2_lil_max = np.max(np.abs(r2[:, 2:]) / lil, axis=1)
+    r3_rel_max = np.max(np.abs(r3) / j, axis=1)
 
     ejg = np.exp(g_eff * j[:k - 1])      # e^{j g_eff}, j = 1..k-1
-    base = 1.0 + a_s[:k - 1]
+    base = 1.0 + a_s[:, :k - 1]
     # numpy's pairwise sum has a fixed order; np.dot's BLAS sum is split
     # by thread count, so its last bits depend on the host
-    inner4 = float(np.add.reduce(ejg * base))
-    inner3 = float(np.add.reduce(ejg * r2[:k - 1]))
-    inner2 = float(np.add.reduce(
-        ejg * ((base + r2[:k - 1]) * np.expm1(r3[:k - 1]))))
+    inner4 = np.add.reduce(ejg * base, axis=1)
+    inner3 = np.add.reduce(ejg * r2[:, :k - 1], axis=1)
+    inner2 = np.add.reduce(
+        ejg * ((base + r2[:, :k - 1]) * np.expm1(r3[:, :k - 1])), axis=1)
 
-    if mode == CLASSICAL:
-        c1 = params.sigma0_sq * math.exp(log_prod[-1])
-        comps = (c1, omega * inner2, omega * inner3, omega * inner4)
-        return DecompositionReport(k=k, mode=mode, components=comps, r1=r1,
-                                   r2_max=r2_max, r2_lil_max=r2_lil_max,
-                                   r3_rel_max=r3_rel_max)
+    pre = 0.5 * k * math.log(k) if mode == LITERAL else 0.0
 
-    pre = 0.5 * k * math.log(k)
-
-    def logmag(sign_value: float, log_extra: float) -> tuple:
-        if sign_value == 0.0:
+    def component(inner: float):
+        """omega * inner, or its (log magnitude, sign) in literal mode."""
+        if mode == CLASSICAL:
+            return omega * inner
+        if inner == 0.0:
             return (-math.inf, 0.0)
-        return (log_extra + math.log(abs(sign_value)),
-                math.copysign(1.0, sign_value))
+        return (math.log(omega) + pre + math.log(abs(inner)),
+                math.copysign(1.0, inner))
 
-    comps = (
-        (math.log(params.sigma0_sq) + pre + log_prod[-1], 1.0),
-        logmag(inner2, math.log(omega) + pre),
-        logmag(inner3, math.log(omega) + pre),
-        logmag(inner4, math.log(omega) + pre),
-    )
-    return DecompositionReport(k=k, mode=mode, components=comps, r1=r1,
-                               r2_max=r2_max, r2_lil_max=r2_lil_max,
-                               r3_rel_max=r3_rel_max, prefactor_log=pre)
+    reports = []
+    for lp, i2, i3, i4, *remainders in zip(*(a.tolist() for a in (
+            log_prod, inner2, inner3, inner4,
+            r1, r2_max, r2_lil_max, r3_rel_max))):
+        c1 = (params.sigma0_sq * math.exp(lp) if mode == CLASSICAL
+              else (math.log(params.sigma0_sq) + pre + lp, 1.0))
+        comps = (c1, component(i2), component(i3), component(i4))
+        reports.append(DecompositionReport(k, mode, comps, *remainders,
+                                           prefactor_log=pre))
+    return reports
 
 
 def export_path_csv(path: GarchPath, fh: IO[str]) -> None:

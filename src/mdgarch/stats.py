@@ -374,27 +374,10 @@ def tau_stats(path: GarchPath, params: GarchParams, k: int,
               mode: str = CLASSICAL) -> Tuple[float, float]:
     """Single-sum tau and double-sum tau* exponential xi statistics."""
     _require(params, Regime.NEAR_STATIONARY)
-    return _tau_pair(path, params, k, mode)
-
-
-def _tau_pair(path: GarchPath, params: GarchParams, k: int,
-              mode: str) -> Tuple[float, float]:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    g = params.gamma_n
-    xi_rev = path.xi[k - 1::-1]
-    s = np.cumsum(xi_rev)
-    j = np.arange(1, k, dtype=float)
-    # weighted sums by numpy's fixed-order pairwise sum, not np.dot, whose
-    # BLAS sum order (and last bits) follows the thread count
-    if mode == CLASSICAL:
-        wgt = np.exp(g * j)
-        return (float(np.add.reduce(wgt * xi_rev[:k - 1])),
-                float(np.add.reduce(wgt * s[:k - 1])))
-    rk = math.sqrt(k)
-    wgt = np.exp(g / rk * j)
-    return (float(np.add.reduce(wgt * xi_rev[:k - 1])) / k ** 0.25,
-            float(np.add.reduce(wgt * s[:k - 1])) / rk)
+    tau, tau_star = tau_rows(path.xi, params, k, mode)
+    return float(tau), float(tau_star)
 
 
 def lemma_discrepancy(path: GarchPath, params: GarchParams, k: int,
@@ -406,19 +389,35 @@ def lemma_discrepancy(path: GarchPath, params: GarchParams, k: int,
     _require(params, Regime.NEAR_EXPLOSIVE)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    g = params.gamma_n
-    xi_rev = path.xi[k - 1::-1]
-    s = np.cumsum(xi_rev)
-    j = np.arange(1, k, dtype=float)
-    # fixed-order sums, as in _tau_pair
-    if mode == CLASSICAL:
-        wgt = g * np.exp(g * (j - k))          # gamma e^{-k gamma} e^{j gamma}
-        gap = float(np.add.reduce(wgt * s[:k - 1])) - float(s[k - 2])
-        return gap * gap / params.n
-    rk = math.sqrt(k)
-    wgt = (g / rk) * np.exp(g / rk * (j - k))
-    gap = float(np.add.reduce(wgt * s[:k - 1])) - float(s[k - 2])
-    return gap * gap / k
+    return float(lemma_rows(path.xi, params, k, mode))
+
+
+def tau_rows(xi: np.ndarray, params: GarchParams, k: int,
+             mode: str) -> Tuple[np.ndarray, np.ndarray]:
+    """tau_stats of each row of a xi block (rows, n+1), as two arrays."""
+    # classical mode is literal mode with sqrt(k) and k^{1/4} set to 1;
+    # dividing by 1.0 is exact
+    root, quarter = ((math.sqrt(k), k ** 0.25) if mode == LITERAL
+                     else (1.0, 1.0))
+    xi_rev = xi[..., k - 1::-1]
+    s = np.cumsum(xi_rev, axis=-1)
+    wgt = np.exp(params.gamma_n / root * np.arange(1, k, dtype=float))
+    # weighted sums by numpy's fixed-order pairwise sum, not np.dot, whose
+    # BLAS sum order (and last bits) follows the thread count
+    return (np.add.reduce(wgt * xi_rev[..., :k - 1], axis=-1) / quarter,
+            np.add.reduce(wgt * s[..., :k - 1], axis=-1) / root)
+
+
+def lemma_rows(xi: np.ndarray, params: GarchParams, k: int,
+               mode: str) -> np.ndarray:
+    """lemma_discrepancy of each row of a xi block (rows, n+1)."""
+    root, scale = (math.sqrt(k), k) if mode == LITERAL else (1.0, params.n)
+    g = params.gamma_n / root
+    s = np.cumsum(xi[..., k - 1::-1], axis=-1)
+    wgt = g * np.exp(g * np.arange(1 - k, 0, dtype=float))  # g e^{g (j-k)}
+    # fixed-order sums, as in tau_rows
+    gap = np.add.reduce(wgt * s[..., :k - 1], axis=-1) - s[..., k - 2]
+    return gap * gap / scale
 
 
 # ---------------------------------------------------------------------------

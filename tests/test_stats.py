@@ -350,16 +350,15 @@ class TestSeedInvariance:
             "from mdgarch.innovations import RngStream\n"
             "from mdgarch.localization import LocalizationScheme, "
             "realize_params\n"
-            "from mdgarch.simulate import GarchPath, decompose_volatility\n"
+            "from mdgarch.simulate import decompose_volatility, "
+            "path_from_eps\n"
             "from mdgarch.stats import lemma_discrepancy, tau_stats\n"
             "n, k = 100000, 80000\n"
             "ns, ne = (realize_params(LocalizationScheme(omega=1.0, "
             "sigma0_sq=1.0, c_alpha=1.0, p=0.5, c_gamma=c, kappa=0.6), n)\n"
             "          for c in (-1.0, 1.0))\n"
             "eps = RngStream(34, 0).generator().standard_normal(n + 1)\n"
-            "path = GarchPath(n=n, eps=eps, xi=eps ** 2 - 1.0, u=None,\n"
-            "                 sigma_sq=None, log_sigma_sq=None,\n"
-            "                 master_seed=34, stream_index=0)\n"
+            "path = path_from_eps(ns, eps, RngStream(34, 0))\n"
             "vals = []\n"
             "for mode in ('classical', 'literal'):\n"
             "    vals.append(lemma_discrepancy(path, ne, k, mode))\n"
