@@ -15,7 +15,8 @@ from .stats import (CancellationError, CheckpointGrid, StatValue, WrongRegime,
                     lemma_discrepancy, log_geometric_exp_sum, ne_return_stat,
                     ne_volatility_stat, ns_return_stat, ns_volatility_stat,
                     tau_stats, weighted_exp_sum)
-from .limits import (LimitSample, normal_cdf, sample_std_normal_iid,
+from .limits import (LimitSample, normal_cdf, normal_cdfs,
+                     sample_std_normal_iid,
                      sample_time_weighted_wiener, sample_wiener_marginals,
                      time_weighted_wiener_cov, wiener_cov)
 from .gof import (GofResult, kolmogorov_sf, ks_one_sample, ks_two_sample,

@@ -3,7 +3,11 @@
 Replications are keyed to (master_seed, replication_id) streams, so the
 report is a pure function of the config and seed; every reduction sorts
 its inputs first, which makes the result independent of replication
-order and hence of any scheduling.
+order and hence of any scheduling.  Sampling, the kernel and the path
+diagnostics run over row blocks of a chunk in threads
+(``kernels.map_row_blocks``, as many as the CPUs the process may use);
+each replication is computed the same way in any block, so the report
+bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from . import gof, limits
 from .innovations import (InnovationSpec, RngStream, innovation_cdf,
                           sample_innovations, validate_spec,
                           xi_second_moment)
-from .kernels import recursion_batch
+from .kernels import map_row_blocks, recursion_batch
 from .localization import (GarchParams, LocalizationScheme, Regime,
                            classify_regime, realize_params)
 from .simulate import (CLASSICAL, LITERAL, MODES, DecompositionReport,
@@ -213,10 +217,14 @@ def _simulate_chunked(config: McConfig, params: GarchParams, keep):
     for start in range(0, config.reps, chunk):
         stop = min(start + chunk, config.reps)
         eps = np.empty((stop - start, n + 1))
-        for i in range(start, stop):
-            stream = RngStream(config.master_seed, i)
-            eps[i - start] = sample_innovations(config.innovation, n + 1,
-                                                stream)
+
+        def draw(rows):
+            for i in range(rows.start, rows.stop):
+                sample_innovations(config.innovation, n + 1,
+                                   RngStream(config.master_seed, start + i),
+                                   out=eps[i])
+
+        map_row_blocks(draw, stop - start)
         yield (start, eps) + recursion_batch(
             eps, params.omega, params.alpha_n, params.beta_n,
             params.sigma0_sq, keep=keep)
@@ -265,16 +273,13 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
     diag_rows = max(1, DIAG_BLOCK // k_diag)
     lemma_vals = np.empty(reps) if "lemma" in config.tests else None
     tau_vals = np.empty(reps) if "tau_coupling" in config.tests else None
-    decomps = [] if "remainders" in config.tests else None
+    decomps = [None] * reps if "remainders" in config.tests else None
 
-    for start, eps, sigma_sq, log_sigma_sq, _ in \
-            _simulate_chunked(config, params, ks):
-        rows = slice(start, start + eps.shape[0])
-        sigma_k[:, rows] = sigma_sq.T
-        log_sigma_k[:, rows] = log_sigma_sq.T
-        eps_k[:, rows] = eps[:, ks].T
-        for a in range(0, eps.shape[0] if need_paths else 0, diag_rows):
-            xi = eps[a:a + diag_rows] ** 2 - 1.0
+    def diagnose(eps, start, rows):
+        """The path diagnostics of chunk rows `rows`, in blocks of
+        diag_rows, written at replications start + rows."""
+        for a in range(rows.start, rows.stop, diag_rows):
+            xi = eps[a:min(a + diag_rows, rows.stop)] ** 2 - 1.0
             block = slice(start + a, start + a + xi.shape[0])
             if lemma_vals is not None:
                 lemma_vals[block] = lemma_rows(xi, params, k_diag, mode)
@@ -286,7 +291,16 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
                 # Python's float power; numpy's x * x differs in last bits
                 tau_vals[block] = [v ** 2 for v in gap.tolist()]
             if decomps is not None:
-                decomps.extend(decompose_rows(xi, params, k_diag, mode))
+                decomps[block] = decompose_rows(xi, params, k_diag, mode)
+
+    for start, eps, sigma_sq, log_sigma_sq, _ in \
+            _simulate_chunked(config, params, ks):
+        rows = slice(start, start + eps.shape[0])
+        sigma_k[:, rows] = sigma_sq.T
+        log_sigma_k[:, rows] = log_sigma_sq.T
+        eps_k[:, rows] = eps[:, ks].T
+        if need_paths:
+            map_row_blocks(lambda r: diagnose(eps, start, r), eps.shape[0])
         # release this chunk before the next one is drawn
         del eps, sigma_sq, log_sigma_sq
 
@@ -361,7 +375,7 @@ def _gof_entry(res: gof.GofResult, k: int) -> dict:
 def _vol_gof(config: McConfig, spec: RegimeSpec, ks, vol) -> dict:
     if spec.sample_reference is None:
         per = [_gof_entry(gof.ks_one_sample(
-            vol[:, m], np.vectorize(limits.normal_cdf), config.level), k)
+            vol[:, m], limits.normal_cdfs, config.level), k)
             for m, k in enumerate(ks)]
     else:
         ref = spec.sample_reference(

@@ -116,19 +116,27 @@ def xi_second_moment(spec: InnovationSpec) -> float:
 
 
 def sample_innovations(spec: InnovationSpec, count: int,
-                       stream: RngStream) -> np.ndarray:
-    """Draw ``count`` i.i.d. innovations, deterministic in the stream."""
+                       stream: RngStream,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Draw ``count`` i.i.d. innovations, deterministic in the stream.
+
+    With ``out`` (a float64 array of shape (count,)) the draws are
+    written there, with the same bytes, and ``out`` is returned.
+    """
     validate_spec(spec)
     if count < 1:
         raise ValueError("count must be >= 1")
+    if out is not None and out.shape != (count,):
+        raise ValueError(f"out has shape {out.shape}, need ({count},)")
     rng = stream.generator()
     if spec.kind == "standard-normal":
-        return rng.standard_normal(count)
+        return rng.standard_normal(count, out=out)
     if spec.kind == "student-t-normalized":
-        return rng.standard_t(spec.df, size=count) * _t_scale(spec.df)
+        return np.multiply(rng.standard_t(spec.df, size=count),
+                           _t_scale(spec.df), out=out)
     mags = np.where(rng.random(count) < spec.w, abs(spec.a), abs(spec.b))
     signs = np.where(rng.random(count) < 0.5, -1.0, 1.0)
-    return mags * signs
+    return np.multiply(mags, signs, out=out)
 
 
 def innovation_cdf(spec: InnovationSpec):
@@ -139,9 +147,9 @@ def innovation_cdf(spec: InnovationSpec):
     """
     validate_spec(spec)
     if spec.kind == "standard-normal":
-        from .limits import normal_cdf
+        from .limits import normal_cdfs
 
-        return np.vectorize(normal_cdf, otypes=[float])
+        return normal_cdfs
     if spec.kind == "student-t-normalized":
         from scipy.special import stdtr
 

@@ -11,6 +11,14 @@ arithmetic.  Both routes share the log track: one ``np.log`` over the
 kept finite entries, then ``logaddexp`` log-space steps only for rows
 that overflowed, from their first overflow on.
 
+Rows are independent, so ``recursion_batch`` splits a batch into at
+most ``WORKERS`` contiguous row blocks of at least ``KERNEL_MIN_ROWS``
+rows (``map_row_blocks``) and runs the kernel on each in its own thread;
+numpy's loops release the GIL, so the blocks overlap on separate cores.
+``WORKERS`` is the number of CPUs this process may run on; it is not an
+option.  Each row's arithmetic is the same whichever block it lands in,
+so the outputs do not depend on the worker count.
+
 Contract: on all three outputs (linear track, log track, overflow
 index) ``recursion_batch`` is bit-identical to the step-by-step loop
 over the columns that ``tests/test_simulate.py`` keeps as the reference.
@@ -18,7 +26,9 @@ over the columns that ``tests/test_simulate.py`` keeps as the reference.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+import os
+import threading
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +38,51 @@ USE_NUMBA = False
 #: time steps per block of the numpy kernel; a (BLOCK, reps) factor array
 #: stays cache-sized while each step's numpy calls cover every replication
 BLOCK = 256
+
+#: row blocks run at once by map_row_blocks: the CPUs this process may use
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+
+#: fewest rows in a kernel row block.  numpy releases the GIL only in
+#: ufunc loops over more than 500 elements, and each per-step call of the
+#: kernel spans one block's rows; smaller blocks in threads only queue for
+#: the GIL (300 rows split in two ran 1.6x slower on a 2-vCPU host)
+KERNEL_MIN_ROWS = 501
+
+
+def map_row_blocks(fn: Callable[[slice], object], rows: int,
+                   min_rows: int = 1) -> list:
+    """[fn(s) for s in slices], over at most WORKERS contiguous slices of
+    at least min_rows rows (one slice when rows < 2 * min_rows) that
+    cover range(rows), the first on the calling thread and each other on
+    its own thread.  All threads are joined before the first exception
+    (in slice order) is re-raised.  numpy's errstate is per thread: fn
+    sets whatever it needs itself."""
+    workers = max(1, min(WORKERS, rows // min_rows))
+    bounds = [rows * w // workers for w in range(workers + 1)]
+    slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    results = [None] * workers
+    errors = [None] * workers
+
+    def run(w):
+        try:
+            results[w] = fn(slices[w])
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[w] = exc
+
+    threads = [threading.Thread(target=run, args=(w,))
+               for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        results[0] = fn(slices[0])
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _recursion_blocked_py(eps, omega, alpha, beta, sigma0_sq, cols):
@@ -147,6 +202,15 @@ def recursion_batch(eps: np.ndarray, omega: float, alpha: float, beta: float,
     cols = np.arange(n1) if keep is None else np.asarray(keep, dtype=np.intp)
     if cols.size and not 0 <= cols.min() <= cols.max() < n1:
         raise ValueError(f"keep must lie in [0, {n1 - 1}]")
-    kernel = _recursion_row_py if eps.shape[0] == 1 else _recursion_blocked_py
-    return kernel(eps, float(omega), float(alpha), float(beta),
-                  float(sigma0_sq), cols)
+    args = float(omega), float(alpha), float(beta), float(sigma0_sq), cols
+
+    def run(rows):
+        block = eps[rows]
+        kernel = (_recursion_row_py if block.shape[0] == 1
+                  else _recursion_blocked_py)
+        return kernel(block, *args)
+
+    parts = map_row_blocks(run, eps.shape[0], KERNEL_MIN_ROWS)
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(track) for track in zip(*parts))

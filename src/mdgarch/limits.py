@@ -33,6 +33,14 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def normal_cdfs(x) -> np.ndarray:
+    """normal_cdf element-wise, bit for bit: numpy negates, divides and
+    halves as Python floats do, and erfc is the C library's."""
+    z = -np.asarray(x, dtype=float) / math.sqrt(2.0)
+    erfc = np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size)
+    return 0.5 * erfc.reshape(z.shape)
+
+
 def sample_std_normal_iid(n_checkpoints: int, reps: int,
                           stream: RngStream) -> LimitSample:
     if n_checkpoints < 1 or reps < 1:

@@ -16,6 +16,7 @@ from typing import Tuple
 import numpy as np
 import pytest
 
+from mdgarch import harness
 from mdgarch.harness import (DIAG_BLOCK, McConfig, _sorted_mean,
                              _sorted_median, diag_checkpoint, run_experiment)
 from mdgarch.innovations import InnovationSpec, RngStream
@@ -319,6 +320,30 @@ def test_ns_run_equals_per_path_reductions(mode):
         _sorted_mean(np.array(coupling))
     _check_remainders(report, [decompose_volatility(p, params, k, mode)
                                for p in paths])
+
+
+def test_tau_coupling_squares_python_floats(monkeypatch):
+    # the coupling gap v is squared as v ** 2 (the C library's pow), which
+    # rounds differently from v * v for about 1 double in 1200; tau_rows
+    # is replaced by one that yields chosen gaps where pow rounds up
+    config = _harness_config("NS", ("tau_coupling",), CLASSICAL)
+    g = realize_params(config.scheme, config.n).gamma_n
+    c = math.sqrt(2.0 * abs(g) ** 3)
+    w = RngStream(5, 0).generator().uniform(1.0, 1e3, 4 * 10 ** 5)
+    v = (c * w).tolist()             # the harness's gap, with tau = 0
+    pick = [i for i, x in enumerate(v) if x ** 2 > x * x][:HARNESS_REPS]
+    gaps = [v[i] for i in pick]
+    assert len(gaps) == HARNESS_REPS
+    draws = iter(w[pick].tolist())
+
+    def chosen_tau_rows(xi, params, k, mode):
+        return np.zeros(len(xi)), np.array([next(draws) for _ in xi])
+
+    monkeypatch.setattr(harness, "tau_rows", chosen_tau_rows)
+    estimate = run_experiment(config).results["tau_coupling"]["estimate"]
+    assert next(draws, None) is None
+    assert estimate == math.fsum(sorted(v ** 2 for v in gaps)) / len(gaps)
+    assert estimate != math.fsum(sorted(v * v for v in gaps)) / len(gaps)
 
 
 def _check_remainders(report, decs) -> None:

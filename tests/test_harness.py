@@ -1,18 +1,22 @@
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mdgarch import harness, kernels
 from mdgarch.gof import DEFAULT_LEVEL
 from mdgarch.harness import (ConfigurationError, McConfig, McReport,
                              independence_threshold, run_experiment,
                              run_n_sweep, sweep_verdict, validate_config)
 from mdgarch.innovations import InnovationSpec
 from mdgarch.localization import LocalizationScheme
-from mdgarch.simulate import LITERAL
+from mdgarch.simulate import LITERAL, MODES
 from mdgarch.stats import CheckpointGrid
 
 NORMAL = InnovationSpec(kind="standard-normal")
+T8 = InnovationSpec(kind="student-t-normalized", df=8.0)
 GRID = CheckpointGrid((0.2, 0.4, 0.6, 0.8))
 
 
@@ -170,6 +174,88 @@ class TestRunExperiment:
         rep = run_experiment(cfg)
         assert rep.results["lemma"]["mean"] > 0.0
         assert rep.results["remainders"]["r2_max_median"] > 0.0
+
+
+REGIME_SCHEMES = {"NS": ns_scheme(), "INT": ns_scheme(p=0.6, c_gamma=0.0),
+                  "NE": ns_scheme(c_gamma=1.0, kappa=0.6)}
+DIAGNOSTICS = {"NS": ("tau_coupling", "remainders"), "INT": ("remainders",),
+               "NE": ("lemma", "remainders")}
+
+
+class TestWorkerCount:
+    """Reports do not depend on how many row blocks run at once.  One-row
+    kernel blocks are allowed here, so the kernel splits these small
+    batches too."""
+
+    @staticmethod
+    def outputs(monkeypatch, config, workers):
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "KERNEL_MIN_ROWS", 1)
+        rep = run_experiment(config)
+        return (rep.to_json(), rep.stats_csv(),
+                None if rep.decompositions is None
+                else [repr(d) for d in rep.decompositions])
+
+    @pytest.mark.parametrize("innovation", [NORMAL, T8], ids=["normal", "t8"])
+    @pytest.mark.parametrize("regime", REGIME_SCHEMES)
+    def test_verify_bytes(self, monkeypatch, regime, innovation):
+        config = ns_config(scheme=REGIME_SCHEMES[regime],
+                           innovation=innovation, n=400, reps=120)
+        want = self.outputs(monkeypatch, config, 1)
+        for workers in (2, 3, 7):
+            assert self.outputs(monkeypatch, config, workers) == want
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("regime", REGIME_SCHEMES)
+    def test_diagnose_bytes(self, monkeypatch, regime, mode):
+        # k = 1600: 20 rows per diagnostic block, so a worker's 25 or 17
+        # rows span two blocks
+        config = ns_config(scheme=REGIME_SCHEMES[regime], reps=50, mode=mode,
+                           tests=DIAGNOSTICS[regime])
+        want = self.outputs(monkeypatch, config, 1)
+        assert len(want[2]) == 50
+        for workers in (2, 3, 7):
+            assert self.outputs(monkeypatch, config, workers) == want
+
+    def test_short_switch_interval_many_workers(self, monkeypatch):
+        # more workers than cores, switching threads every microsecond:
+        # a lost or misplaced write into the shared result arrays and
+        # list would change the bytes
+        config = ns_config(scheme=REGIME_SCHEMES["NE"], reps=50,
+                           tests=DIAGNOSTICS["NE"])
+        want = self.outputs(monkeypatch, config, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert self.outputs(monkeypatch, config, 16) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("where", ["sample_innovations", "lemma_rows"])
+    def test_exception_in_a_later_worker_surfaces(self, monkeypatch, where):
+        class Boom(RuntimeError):
+            pass
+
+        real = getattr(harness, where)
+
+        def failing(*args, **kwargs):
+            # the last replication (sampling) or any block past the first
+            # worker's rows (diagnostics)
+            fail = (args[2].stream_index == 49 if where == "sample_innovations"
+                    else threading.current_thread() is not main)
+            if fail:
+                raise Boom(where)
+            return real(*args, **kwargs)
+
+        main = threading.current_thread()
+        monkeypatch.setattr(kernels, "WORKERS", 3)
+        monkeypatch.setattr(harness, where, failing)
+        before = threading.active_count()
+        with pytest.raises(Boom):
+            run_experiment(ns_config(scheme=REGIME_SCHEMES["NE"], reps=50,
+                                     tests=DIAGNOSTICS["NE"]))
+        assert threading.active_count() == before
 
 
 class TestSweep:

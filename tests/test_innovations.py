@@ -117,6 +117,22 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_innovations(NORMAL, 0, RngStream(1, 0))
 
+    @pytest.mark.parametrize("spec", [NORMAL, T8, TWO_POINT],
+                             ids=["normal", "t8", "two-point"])
+    def test_out_holds_the_same_bytes(self, spec):
+        want = sample_innovations(spec, 1001, RngStream(3, 4))
+        # a row of a block, as the harness passes it
+        block = np.full((3, 1001), np.nan)
+        row = block[1]
+        assert sample_innovations(spec, 1001, RngStream(3, 4), out=row) \
+            is row
+        assert row.tobytes() == want.tobytes()
+        assert np.isnan(block[[0, 2]]).all()
+        for shape in ((1000,), (1002,), (1, 1001)):
+            with pytest.raises(ValueError):
+                sample_innovations(spec, 1001, RngStream(3, 4),
+                                   out=np.empty(shape))
+
 
 class TestCdf:
     def test_normal_cdf_midpoint(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mdgarch.innovations import RngStream
-from mdgarch.limits import (normal_cdf, sample_std_normal_iid,
+from mdgarch.limits import (normal_cdf, normal_cdfs, sample_std_normal_iid,
                             sample_time_weighted_wiener,
                             sample_wiener_marginals, time_weighted_wiener_cov,
                             wiener_cov)
@@ -30,6 +30,19 @@ class TestNormalCdf:
         for x in xs:
             assert normal_cdf(-x) == pytest.approx(1.0 - normal_cdf(x),
                                                    abs=1e-12)
+
+
+    def test_array_form_is_bit_identical(self):
+        rng = np.random.default_rng(5)
+        xs = np.concatenate((
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+             8.2, -8.2, 37.5, -37.5, 38.5, -38.5, 1e300, -1e300],
+            rng.standard_normal(2000) * 10.0))
+        got = normal_cdfs(xs)
+        want = np.array([normal_cdf(x) for x in xs.tolist()])
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert normal_cdfs(xs.reshape(5, -1)).tobytes() == want.tobytes()
+        assert normal_cdfs(-1.5).shape == ()
 
 
 class TestCovariances:

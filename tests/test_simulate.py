@@ -1,5 +1,6 @@
 import io
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdgarch import kernels
 from mdgarch.innovations import InnovationSpec, RngStream
-from mdgarch.kernels import BLOCK, recursion_batch
+from mdgarch.kernels import BLOCK, map_row_blocks, recursion_batch
 from mdgarch.localization import (GarchParams, LocalizationScheme,
                                   realize_params)
 from mdgarch.simulate import (CLASSICAL, LITERAL, decompose_volatility,
@@ -239,6 +241,82 @@ class TestKernels:
         for keep in ([11], [-1]):
             with pytest.raises(ValueError):
                 recursion_batch(eps, 1.0, 0.05, 0.9, 1.0, keep=keep)
+
+
+class TestRowBlocks:
+    """map_row_blocks and the kernel's outputs under any worker count."""
+
+    @staticmethod
+    def spans(rows, min_rows=1):
+        return map_row_blocks(lambda s: (s.start, s.stop), rows, min_rows)
+
+    def test_contiguous_slices(self, monkeypatch):
+        monkeypatch.setattr(kernels, "WORKERS", 3)
+        assert self.spans(7) == [(0, 2), (2, 4), (4, 7)]
+        assert self.spans(2) == [(0, 1), (1, 2)]
+        assert self.spans(1) == [(0, 1)]
+        assert self.spans(0) == [(0, 0)]
+        assert self.spans(1001, 501) == [(0, 1001)]
+        assert self.spans(1002, 501) == [(0, 501), (501, 1002)]
+        assert self.spans(5000, 501) == [(0, 1666), (1666, 3333),
+                                         (3333, 5000)]
+
+    def test_first_slice_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(kernels, "WORKERS", 4)
+        ids = map_row_blocks(lambda s: threading.get_ident(), 4)
+        assert ids[0] == threading.get_ident()
+        assert threading.get_ident() not in ids[1:]
+        # one row, or too few rows for two blocks, starts no thread
+        assert map_row_blocks(lambda s: threading.get_ident(), 1) \
+            == [threading.get_ident()]
+        assert map_row_blocks(lambda s: threading.get_ident(), 9, 5) \
+            == [threading.get_ident()]
+
+    def test_worker_exception_re_raised_after_join(self, monkeypatch):
+        monkeypatch.setattr(kernels, "WORKERS", 3)
+        before = threading.active_count()
+
+        def fn(s):
+            if s.start == 0:
+                threading.Event().wait(0.05)  # the others finish first
+                return s
+            raise (KeyError if s.start == 2 else IndexError)(s.start)
+
+        with pytest.raises(KeyError):     # the first failing slice's
+            map_row_blocks(fn, 6)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    @pytest.mark.parametrize("reps", [1, 3, 7])
+    @pytest.mark.parametrize("keep", [None, [0, 5, BLOCK, 2 * BLOCK + 1,
+                                             3 * BLOCK + 7]])
+    def test_kernel_independent_of_workers(self, monkeypatch, workers, reps,
+                                           keep):
+        # with one-row blocks allowed, 3 rows under 2 workers hold a
+        # one-row block and under 7 fewer rows than workers; rows 0,
+        # reps // 2 and reps - 1 overflow (in the first, a middle and the
+        # last time block), which is the first, a middle and the last row
+        # block under 3 and 7 workers
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "KERNEL_MIN_ROWS", 1)
+        n = 3 * BLOCK + 7
+        eps = RngStream(7, 5).generator().standard_normal((reps, n + 1))
+        spikes = dict(zip((0, reps // 2, reps - 1),
+                          (5, BLOCK + BLOCK // 2, 3 * BLOCK + 3)))
+        for r, t in spikes.items():
+            eps[r, t - 1] = 1e154
+            eps[r, t::3] = 0.0
+        got = assert_matches_loop(eps, 1.0, 2.0, 0.0, 1.0, keep)
+        assert list(got[2]) == [spikes.get(r, -1) for r in range(reps)]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_kernel_splits_large_batches(self, monkeypatch, workers):
+        monkeypatch.setattr(kernels, "WORKERS", workers)
+        eps = RngStream(7, 6).generator().standard_normal(
+            (workers * kernels.KERNEL_MIN_ROWS + 1, 41))
+        eps[-1, 3] = 1e154
+        got = assert_matches_loop(eps, 1.0, 2.0, 0.0, 1.0, [0, 10, 40])
+        assert np.flatnonzero(got[2] >= 0).tolist() == [len(eps) - 1]
 
 
 class TestMultiplicative:
