@@ -3,11 +3,12 @@
 Replications are keyed to (master_seed, replication_id) streams, so the
 report is a pure function of the config and seed; every reduction sorts
 its inputs first, which makes the result independent of replication
-order and hence of any scheduling.  Sampling, the kernel and the path
-diagnostics run over row blocks of a chunk in threads
-(``kernels.map_row_blocks``, as many as the CPUs the process may use);
-each replication is computed the same way in any block, so the report
-bytes do not depend on the worker count.
+order and hence of any scheduling.  Sampling (one replication per
+block), the kernel and the path diagnostics (one diagnostic block each)
+run over row blocks of a chunk, shared by as many threads as the CPUs
+the process may use (``kernels.map_row_blocks``); each replication is
+computed the same way in any block and thread, so the report bytes do
+not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -276,22 +277,21 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
     decomps = [None] * reps if "remainders" in config.tests else None
 
     def diagnose(eps, start, rows):
-        """The path diagnostics of chunk rows `rows`, in blocks of
-        diag_rows, written at replications start + rows."""
-        for a in range(rows.start, rows.stop, diag_rows):
-            xi = eps[a:min(a + diag_rows, rows.stop)] ** 2 - 1.0
-            block = slice(start + a, start + a + xi.shape[0])
-            if lemma_vals is not None:
-                lemma_vals[block] = lemma_rows(xi, params, k_diag, mode)
-            if tau_vals is not None:
-                g = params.gamma_n
-                tau, tau_star = tau_rows(xi, params, k_diag, mode)
-                gap = (math.sqrt(2.0 * abs(g) ** 3) * tau_star
-                       - math.sqrt(2.0 * abs(g)) * tau)
-                # Python's float power; numpy's x * x differs in last bits
-                tau_vals[block] = [v ** 2 for v in gap.tolist()]
-            if decomps is not None:
-                decomps[block] = decompose_rows(xi, params, k_diag, mode)
+        """The path diagnostics of chunk rows `rows`, written at
+        replications start + rows."""
+        xi = eps[rows] ** 2 - 1.0
+        block = slice(start + rows.start, start + rows.stop)
+        if lemma_vals is not None:
+            lemma_vals[block] = lemma_rows(xi, params, k_diag, mode)
+        if tau_vals is not None:
+            g = params.gamma_n
+            tau, tau_star = tau_rows(xi, params, k_diag, mode)
+            gap = (math.sqrt(2.0 * abs(g) ** 3) * tau_star
+                   - math.sqrt(2.0 * abs(g)) * tau)
+            # Python's float power; numpy's x * x differs in last bits
+            tau_vals[block] = [v ** 2 for v in gap.tolist()]
+        if decomps is not None:
+            decomps[block] = decompose_rows(xi, params, k_diag, mode)
 
     for start, eps, sigma_sq, log_sigma_sq, _ in \
             _simulate_chunked(config, params, ks):
@@ -300,7 +300,8 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
         log_sigma_k[:, rows] = log_sigma_sq.T
         eps_k[:, rows] = eps[:, ks].T
         if need_paths:
-            map_row_blocks(lambda r: diagnose(eps, start, r), eps.shape[0])
+            map_row_blocks(lambda r: diagnose(eps, start, r), eps.shape[0],
+                           diag_rows)
         # release this chunk before the next one is drawn
         del eps, sigma_sq, log_sigma_sq
 

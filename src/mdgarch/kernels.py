@@ -13,10 +13,10 @@ that overflowed, from their first overflow on.
 
 Rows are independent, so ``recursion_batch`` splits a batch into at
 most ``WORKERS`` contiguous row blocks of at least ``KERNEL_MIN_ROWS``
-rows (``map_row_blocks``) and runs the kernel on each in its own thread;
-numpy's loops release the GIL, so the blocks overlap on separate cores.
-``WORKERS`` is the number of CPUs this process may run on; it is not an
-option.  Each row's arithmetic is the same whichever block it lands in,
+rows and runs the kernel on them in up to ``WORKERS`` threads
+(``map_row_blocks``); numpy's loops release the GIL, so the blocks
+overlap on separate cores.  ``WORKERS`` is the number of CPUs this
+process may run on; it is not an option.  Each row's arithmetic is the same whichever block it lands in,
 so the outputs do not depend on the worker count.
 
 Contract: on all three outputs (linear track, log track, overflow
@@ -39,7 +39,7 @@ USE_NUMBA = False
 #: stays cache-sized while each step's numpy calls cover every replication
 BLOCK = 256
 
-#: row blocks run at once by map_row_blocks: the CPUs this process may use
+#: threads run at once by map_row_blocks: the CPUs this process may use
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
@@ -51,37 +51,49 @@ KERNEL_MIN_ROWS = 501
 
 
 def map_row_blocks(fn: Callable[[slice], object], rows: int,
-                   min_rows: int = 1) -> list:
-    """[fn(s) for s in slices], over at most WORKERS contiguous slices of
-    at least min_rows rows (one slice when rows < 2 * min_rows) that
-    cover range(rows), the first on the calling thread and each other on
-    its own thread.  All threads are joined before the first exception
-    (in slice order) is re-raised.  numpy's errstate is per thread: fn
-    sets whatever it needs itself."""
-    workers = max(1, min(WORKERS, rows // min_rows))
-    bounds = [rows * w // workers for w in range(workers + 1)]
-    slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    results = [None] * workers
-    errors = [None] * workers
+                   block_rows: int = 1) -> list:
+    """[fn(s) for s in slices], over the contiguous slices of block_rows
+    rows (the last may be shorter) that cover range(rows).
 
-    def run(w):
-        try:
-            results[w] = fn(slices[w])
-        except BaseException as exc:  # re-raised on the calling thread
-            errors[w] = exc
+    Up to WORKERS threads, the calling thread among them, share the
+    slices: each takes the lowest slice not yet taken whenever it is
+    free, so a thread that runs on a slower or busier CPU takes fewer
+    and the call ends about when the work does.  A single slice runs on
+    the calling thread and starts no thread.  After a slice raises, no
+    further slice is taken; all threads are joined before the exception
+    of the lowest failed slice is re-raised.  numpy's errstate is per
+    thread: fn sets whatever it needs itself."""
+    slices = [slice(a, min(a + block_rows, rows))
+              for a in range(0, rows, block_rows)] or [slice(0, 0)]
+    results = [None] * len(slices)
+    errors = []
+    pending = iter(range(len(slices)))
+    lock = threading.Lock()
 
-    threads = [threading.Thread(target=run, args=(w,))
-               for w in range(1, workers)]
+    def take():
+        with lock:
+            return None if errors else next(pending, None)
+
+    def run():
+        while (i := take()) is not None:
+            try:
+                results[i] = fn(slices[i])
+            except BaseException as exc:  # re-raised on the calling thread
+                with lock:
+                    errors.append((i, exc))
+                return
+
+    threads = [threading.Thread(target=run)
+               for _ in range(min(WORKERS, len(slices)) - 1)]
     for t in threads:
         t.start()
     try:
-        results[0] = fn(slices[0])
+        run()
     finally:
         for t in threads:
             t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
     return results
 
 
@@ -210,7 +222,9 @@ def recursion_batch(eps: np.ndarray, omega: float, alpha: float, beta: float,
                   else _recursion_blocked_py)
         return kernel(block, *args)
 
-    parts = map_row_blocks(run, eps.shape[0], KERNEL_MIN_ROWS)
+    reps = eps.shape[0]
+    blocks = max(1, min(WORKERS, reps // KERNEL_MIN_ROWS))
+    parts = map_row_blocks(run, reps, max(1, -(-reps // blocks)))
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(track) for track in zip(*parts))

@@ -240,13 +240,22 @@ class TestWorkerCount:
         real = getattr(harness, where)
 
         def failing(*args, **kwargs):
-            # the last replication (sampling) or any block past the first
-            # worker's rows (diagnostics)
-            fail = (args[2].stream_index == 49 if where == "sample_innovations"
-                    else threading.current_thread() is not main)
+            # the last replication (sampling), or the first diagnostic
+            # block a worker thread takes; the calling thread holds its
+            # own block until then, so a worker thread takes one
+            if where == "sample_innovations":
+                fail = args[2].stream_index == 49
+            elif threading.current_thread() is main:
+                worker_failed.wait(10)
+                fail = False
+            else:
+                worker_failed.set()
+                fail = True
             if fail:
                 raise Boom(where)
             return real(*args, **kwargs)
+
+        worker_failed = threading.Event()
 
         main = threading.current_thread()
         monkeypatch.setattr(kernels, "WORKERS", 3)

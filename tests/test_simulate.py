@@ -247,42 +247,62 @@ class TestRowBlocks:
     """map_row_blocks and the kernel's outputs under any worker count."""
 
     @staticmethod
-    def spans(rows, min_rows=1):
-        return map_row_blocks(lambda s: (s.start, s.stop), rows, min_rows)
+    def spans(rows, block_rows=1):
+        return map_row_blocks(lambda s: (s.start, s.stop), rows, block_rows)
 
     def test_contiguous_slices(self, monkeypatch):
         monkeypatch.setattr(kernels, "WORKERS", 3)
-        assert self.spans(7) == [(0, 2), (2, 4), (4, 7)]
-        assert self.spans(2) == [(0, 1), (1, 2)]
+        assert self.spans(7, 2) == [(0, 2), (2, 4), (4, 6), (6, 7)]
+        assert self.spans(3) == [(0, 1), (1, 2), (2, 3)]
         assert self.spans(1) == [(0, 1)]
         assert self.spans(0) == [(0, 0)]
-        assert self.spans(1001, 501) == [(0, 1001)]
-        assert self.spans(1002, 501) == [(0, 501), (501, 1002)]
-        assert self.spans(5000, 501) == [(0, 1666), (1666, 3333),
-                                         (3333, 5000)]
+        assert self.spans(5, 5) == [(0, 5)]
+        assert self.spans(5, 9) == [(0, 5)]
 
-    def test_first_slice_on_the_calling_thread(self, monkeypatch):
+    def test_threads_share_the_slices(self, monkeypatch):
         monkeypatch.setattr(kernels, "WORKERS", 4)
-        ids = map_row_blocks(lambda s: threading.get_ident(), 4)
-        assert ids[0] == threading.get_ident()
-        assert threading.get_ident() not in ids[1:]
-        # one row, or too few rows for two blocks, starts no thread
-        assert map_row_blocks(lambda s: threading.get_ident(), 1) \
-            == [threading.get_ident()]
-        assert map_row_blocks(lambda s: threading.get_ident(), 9, 5) \
-            == [threading.get_ident()]
+        barrier = threading.Barrier(4, timeout=10)
+
+        def fn(s):
+            if s.start < 4:
+                barrier.wait()   # four slices are in fn at once
+            return threading.get_ident()
+
+        ids = map_row_blocks(fn, 8)
+        assert len(set(ids)) == 4 and threading.get_ident() in ids
+        # a single slice runs on the calling thread and starts no thread
+        before = threading.active_count()
+        assert map_row_blocks(lambda s: (threading.get_ident(),
+                                         threading.active_count()), 9, 9) \
+            == [(threading.get_ident(), before)]
+
+    def test_a_slow_thread_takes_fewer_slices(self, monkeypatch):
+        monkeypatch.setattr(kernels, "WORKERS", 2)
+        caller = threading.get_ident()
+
+        def fn(s):
+            if threading.get_ident() == caller:
+                threading.Event().wait(0.05)
+            return threading.get_ident()
+
+        ids = map_row_blocks(fn, 20)
+        assert ids.count(caller) <= 2
 
     def test_worker_exception_re_raised_after_join(self, monkeypatch):
         monkeypatch.setattr(kernels, "WORKERS", 3)
         before = threading.active_count()
+        second_failed = threading.Event()
 
         def fn(s):
-            if s.start == 0:
-                threading.Event().wait(0.05)  # the others finish first
-                return s
-            raise (KeyError if s.start == 2 else IndexError)(s.start)
+            if s.start == 1:   # fails after slice 2 has failed
+                second_failed.wait(10)
+                raise KeyError(1)
+            if s.start == 2:
+                second_failed.set()
+                raise IndexError(2)
+            return s
 
-        with pytest.raises(KeyError):     # the first failing slice's
+        with pytest.raises(KeyError):     # the lowest failed slice's
             map_row_blocks(fn, 6)
         assert threading.active_count() == before
 
@@ -308,6 +328,19 @@ class TestRowBlocks:
             eps[r, t::3] = 0.0
         got = assert_matches_loop(eps, 1.0, 2.0, 0.0, 1.0, keep)
         assert list(got[2]) == [spikes.get(r, -1) for r in range(reps)]
+
+    def test_kernel_blocks_hold_more_than_500_rows(self, monkeypatch):
+        monkeypatch.setattr(kernels, "WORKERS", 3)
+        seen = []
+
+        def record(fn, rows, block_rows=1):
+            seen.append(block_rows)
+            return map_row_blocks(fn, rows, block_rows)
+
+        monkeypatch.setattr(kernels, "map_row_blocks", record)
+        for reps in (1, 1001, 1002, 5000):
+            recursion_batch(np.zeros((reps, 3)), 1.0, 0.05, 0.9, 1.0)
+        assert seen == [1, 1001, 501, 1667]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_kernel_splits_large_batches(self, monkeypatch, workers):
