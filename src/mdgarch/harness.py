@@ -279,19 +279,23 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
     def diagnose(eps, start, rows):
         """The path diagnostics of chunk rows `rows`, written at
         replications start + rows."""
-        xi = eps[rows] ** 2 - 1.0
+        # xi_{k-1}, ..., xi_0, the only columns the diagnostics read, as
+        # one contiguous block, and its prefix sums, shared by all three
+        xi_rev = eps[rows, k_diag - 1::-1] ** 2
+        xi_rev -= 1.0
+        xi, s = xi_rev[:, ::-1], np.cumsum(xi_rev, axis=1)
         block = slice(start + rows.start, start + rows.stop)
         if lemma_vals is not None:
-            lemma_vals[block] = lemma_rows(xi, params, k_diag, mode)
+            lemma_vals[block] = lemma_rows(xi, params, k_diag, mode, s=s)
         if tau_vals is not None:
             g = params.gamma_n
-            tau, tau_star = tau_rows(xi, params, k_diag, mode)
+            tau, tau_star = tau_rows(xi, params, k_diag, mode, s=s)
             gap = (math.sqrt(2.0 * abs(g) ** 3) * tau_star
                    - math.sqrt(2.0 * abs(g)) * tau)
             # Python's float power; numpy's x * x differs in last bits
             tau_vals[block] = [v ** 2 for v in gap.tolist()]
         if decomps is not None:
-            decomps[block] = decompose_rows(xi, params, k_diag, mode)
+            decomps[block] = decompose_rows(xi, params, k_diag, mode, s=s)
 
     for start, eps, sigma_sq, log_sigma_sq, _ in \
             _simulate_chunked(config, params, ks):

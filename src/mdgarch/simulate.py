@@ -11,6 +11,7 @@ test assertions).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import IO, List, Optional, Tuple
@@ -94,14 +95,19 @@ def volatility_multiplicative(params: GarchParams, eps: np.ndarray,
     return log_val, lin
 
 
-def _expm1_minus_x(x: np.ndarray) -> np.ndarray:
-    """exp(x) - 1 - x with full relative accuracy near zero."""
+def _expm1_minus_x(x: np.ndarray,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(x) - 1 - x with full relative accuracy near zero, written to
+    out when given (a buffer other than x)."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    series = x * x * (0.5 + x * (1.0 / 6.0 + x / 24.0))
+    small = np.abs(x, out=out) < 1e-4
     with np.errstate(over="ignore"):
-        direct = np.expm1(x) - x
-    return np.where(small, series, direct)
+        out = np.expm1(x, out=out)
+        out -= x
+    # the series only where it replaces the direct form
+    xs = x[small]
+    out[small] = xs * xs * (0.5 + xs * (1.0 / 6.0 + xs / 24.0))
+    return out
 
 
 @dataclass
@@ -146,44 +152,76 @@ def decompose_volatility(path: GarchPath, params: GarchParams, k: int,
     return decompose_rows(path.xi[None, :], params, k, mode)[0]
 
 
-def decompose_rows(xi: np.ndarray, params: GarchParams, k: int,
-                   mode: str) -> List[DecompositionReport]:
-    """decompose_volatility of each row of a xi block (rows, n+1)."""
-    alpha, gamma, omega = params.alpha_n, params.gamma_n, params.omega
-    # each (rows, k) array is dropped or reused once spent, 10 live at the
-    # peak: at k = 8e4, 13 instead of 12 pushed an n = 1e5 NE sweep over
-    # glibc's heap trim threshold (1e6 page faults, 9 s instead of 6 s)
-    xi_rev = xi[:, k - 1::-1]            # xi_{k-1}, ..., xi_0
+@functools.lru_cache(maxsize=1)
+def _decompose_weights(g_eff: float, k: int) -> Tuple[np.ndarray, ...]:
+    """j = 1..k, the log log scale of R2 (j >= 3) and e^{j g_eff}
+    (j <= k-1), read-only; one set per run."""
     j = np.arange(1, k + 1, dtype=float)
+    lil = np.maximum(np.log(np.log(j[2:])), 0.1) * j[2:]
+    ejg = np.exp(g_eff * j[:k - 1])
+    for table in (j, lil, ejg):
+        table.flags.writeable = False
+    return j, lil, ejg
 
+
+def decompose_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
+                   s: Optional[np.ndarray] = None
+                   ) -> List[DecompositionReport]:
+    """decompose_volatility of each row of a xi block (rows, m >= k).
+
+    s, when given, is the reversed prefix sum
+    np.cumsum(xi[:, k-1::-1], axis=1), shared with the other path
+    diagnostics; otherwise it is computed here.
+    """
+    alpha, gamma, omega = params.alpha_n, params.gamma_n, params.omega
+    xi_rev = xi[:, k - 1::-1]            # xi_{k-1}, ..., xi_0
+    if s is None:
+        s = np.cumsum(xi_rev, axis=1)    # S_j
     root = math.sqrt(k) if mode == LITERAL else 1.0
-    x = (gamma + alpha * xi_rev) / root
-    a_s = (alpha / root) * np.cumsum(xi_rev, axis=1)  # alpha S_j
     g_eff = gamma / root
+    j, lil, ejg = _decompose_weights(g_eff, k)
+
+    # four (rows, k) buffers, each reused through out= once spent (x, then
+    # R3; log(1+x), then R2; alpha S_j, then its base; one scratch): six
+    # live at the peak with the caller's xi block and s.  At k = 8e4 each
+    # holds 640 KB, and every fresh one glibc trims from its heap is
+    # page-faulted in again on the next row
+    x = np.multiply(xi_rev, alpha)
+    x += gamma
+    if root != 1.0:                      # dividing by 1.0 is exact
+        x /= root
+    a_s = np.multiply(s, alpha / root)   # alpha S_j
 
     with np.errstate(divide="ignore", invalid="ignore"):
         log1p_x = np.log1p(x)
         # R3, the product-form log remainder: cumulative log(1+x) - x
-        r3 = np.cumsum(log1p_x - x, axis=1)
-    del x
-    log_prod = np.cumsum(log1p_x, axis=1, out=log1p_x)[:, -1]
-    r2 = _expm1_minus_x(a_s)
+        r3 = np.subtract(log1p_x, x, out=x)
+        np.cumsum(r3, axis=1, out=r3)
+    log_prod = np.cumsum(log1p_x, axis=1, out=log1p_x)[:, -1].copy()
+    r2 = _expm1_minus_x(a_s, out=log1p_x)
     # R1 from its exact identity: e^{-k g} prod - 1 - a S_k
     r1 = np.expm1(log_prod - k * g_eff) - a_s[:, -1]
 
-    r2_max = np.max(np.abs(r2), axis=1)
-    lil = np.maximum(np.log(np.log(j[2:])), 0.1) * j[2:]
-    r2_lil_max = np.max(np.abs(r2[:, 2:]) / lil, axis=1)
-    r3_rel_max = np.max(np.abs(r3) / j, axis=1)
+    scratch = np.empty(x.shape)
+    np.abs(r2, out=scratch)
+    r2_max = np.max(scratch, axis=1)
+    r2_lil_max = np.max(
+        np.divide(scratch[:, 2:], lil, out=scratch[:, 2:]), axis=1)
+    np.abs(r3, out=scratch)
+    r3_rel_max = np.max(np.divide(scratch, j, out=scratch), axis=1)
 
-    ejg = np.exp(g_eff * j[:k - 1])      # e^{j g_eff}, j = 1..k-1
-    base = 1.0 + a_s[:, :k - 1]
     # numpy's pairwise sum has a fixed order; np.dot's BLAS sum is split
     # by thread count, so its last bits depend on the host
-    inner4 = np.add.reduce(ejg * base, axis=1)
-    inner3 = np.add.reduce(ejg * r2[:, :k - 1], axis=1)
-    inner2 = np.add.reduce(
-        ejg * ((base + r2[:, :k - 1]) * np.expm1(r3[:, :k - 1])), axis=1)
+    block = scratch[:, :k - 1]
+    base = np.add(a_s[:, :k - 1], 1.0, out=a_s[:, :k - 1])
+    inner4 = np.add.reduce(np.multiply(base, ejg, out=block), axis=1)
+    inner3 = np.add.reduce(np.multiply(r2[:, :k - 1], ejg, out=block),
+                           axis=1)
+    base += r2[:, :k - 1]
+    np.expm1(r3[:, :k - 1], out=block)
+    block *= base
+    block *= ejg
+    inner2 = np.add.reduce(block, axis=1)
 
     pre = 0.5 * k * math.log(k) if mode == LITERAL else 0.0
 

@@ -19,6 +19,7 @@ statistic is bit-identical whether it is evaluated alone or in a batch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -392,29 +393,52 @@ def lemma_discrepancy(path: GarchPath, params: GarchParams, k: int,
     return float(lemma_rows(path.xi, params, k, mode))
 
 
-def tau_rows(xi: np.ndarray, params: GarchParams, k: int,
-             mode: str) -> Tuple[np.ndarray, np.ndarray]:
-    """tau_stats of each row of a xi block (rows, n+1), as two arrays."""
+@functools.lru_cache(maxsize=1)
+def _tau_weights(g: float, k: int) -> np.ndarray:
+    """e^{g j}, j = 1..k-1, read-only; one table per run."""
+    wgt = np.exp(g * np.arange(1, k, dtype=float))
+    wgt.flags.writeable = False
+    return wgt
+
+
+@functools.lru_cache(maxsize=1)
+def _lemma_weights(g: float, k: int) -> np.ndarray:
+    """g e^{g (j-k)}, j = 1..k-1, read-only; one table per run."""
+    wgt = g * np.exp(g * np.arange(1 - k, 0, dtype=float))
+    wgt.flags.writeable = False
+    return wgt
+
+
+def tau_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
+             s: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """tau_stats of each row of a xi block (rows, m >= k), as two arrays.
+
+    s, when given, is the reversed prefix sum
+    np.cumsum(xi[..., k-1::-1], axis=-1), shared with the other path
+    diagnostics; otherwise it is computed here.
+    """
     # classical mode is literal mode with sqrt(k) and k^{1/4} set to 1;
     # dividing by 1.0 is exact
     root, quarter = ((math.sqrt(k), k ** 0.25) if mode == LITERAL
                      else (1.0, 1.0))
     xi_rev = xi[..., k - 1::-1]
-    s = np.cumsum(xi_rev, axis=-1)
-    wgt = np.exp(params.gamma_n / root * np.arange(1, k, dtype=float))
+    if s is None:
+        s = np.cumsum(xi_rev, axis=-1)
+    wgt = _tau_weights(params.gamma_n / root, k)
     # weighted sums by numpy's fixed-order pairwise sum, not np.dot, whose
     # BLAS sum order (and last bits) follows the thread count
     return (np.add.reduce(wgt * xi_rev[..., :k - 1], axis=-1) / quarter,
             np.add.reduce(wgt * s[..., :k - 1], axis=-1) / root)
 
 
-def lemma_rows(xi: np.ndarray, params: GarchParams, k: int,
-               mode: str) -> np.ndarray:
-    """lemma_discrepancy of each row of a xi block (rows, n+1)."""
+def lemma_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
+               s: Optional[np.ndarray] = None) -> np.ndarray:
+    """lemma_discrepancy of each row of a xi block (rows, m >= k); s as in
+    tau_rows."""
     root, scale = (math.sqrt(k), k) if mode == LITERAL else (1.0, params.n)
-    g = params.gamma_n / root
-    s = np.cumsum(xi[..., k - 1::-1], axis=-1)
-    wgt = g * np.exp(g * np.arange(1 - k, 0, dtype=float))  # g e^{g (j-k)}
+    if s is None:
+        s = np.cumsum(xi[..., k - 1::-1], axis=-1)
+    wgt = _lemma_weights(params.gamma_n / root, k)
     # fixed-order sums, as in tau_rows
     gap = np.add.reduce(wgt * s[..., :k - 1], axis=-1) - s[..., k - 2]
     return gap * gap / scale

@@ -23,10 +23,11 @@ from mdgarch.innovations import InnovationSpec, RngStream
 from mdgarch.localization import (GarchParams, LocalizationScheme, Regime,
                                   realize_params)
 from mdgarch.simulate import (CLASSICAL, LITERAL, MODES, DecompositionReport,
-                              GarchPath, decompose_rows, decompose_volatility,
-                              simulate_path)
-from mdgarch.stats import (CheckpointGrid, _require, lemma_discrepancy,
-                           lemma_rows, tau_rows, tau_stats)
+                              GarchPath, _decompose_weights, decompose_rows,
+                              decompose_volatility, simulate_path)
+from mdgarch.stats import (CheckpointGrid, _lemma_weights, _require,
+                           _tau_weights, lemma_discrepancy, lemma_rows,
+                           tau_rows, tau_stats)
 
 
 
@@ -245,6 +246,61 @@ class TestBlocksEqualReference:
                 for p in _row_paths(xi)]
         assert [_dec_bits(d) for d in got] == [_dec_bits(d) for d in want]
 
+    # the harness's form: one prefix sum shared by the three functions, xi
+    # the reversed view of a contiguous block xi_{k-1}, ..., xi_0
+    def test_tau_shared_prefix_sum(self, xi_block, rows, k, mode):
+        xi, s = _harness_layout(xi_block[:rows], k)
+        tau, tau_star = tau_rows(xi, PARAMS["NS"], k, mode, s=s)
+        want = [ref_tau_pair(p, PARAMS["NS"], k, mode)
+                for p in _row_paths(xi_block[:rows])]
+        assert _bits(tau) == _bits([t for t, _ in want])
+        assert _bits(tau_star) == _bits([t for _, t in want])
+
+    def test_lemma_shared_prefix_sum(self, xi_block, rows, k, mode):
+        xi, s = _harness_layout(xi_block[:rows], k)
+        want = [ref_lemma_discrepancy(p, PARAMS["NE"], k, mode)
+                for p in _row_paths(xi_block[:rows])]
+        assert _bits(lemma_rows(xi, PARAMS["NE"], k, mode, s=s)) == \
+            _bits(want)
+
+    @pytest.mark.parametrize("regime", sorted(SCHEMES))
+    def test_decomposition_shared_prefix_sum(self, xi_block, rows, k, mode,
+                                             regime):
+        xi, s = _harness_layout(xi_block[:rows], k)
+        params = PARAMS[regime]
+        got = decompose_rows(xi, params, k, mode, s=s)
+        want = [ref_decompose_volatility(p, params, k, mode)
+                for p in _row_paths(xi_block[:rows])]
+        assert [_dec_bits(d) for d in got] == [_dec_bits(d) for d in want]
+
+
+def _harness_layout(xi: np.ndarray, k: int):
+    """xi as run_experiment passes it, and its shared prefix sum."""
+    xi_rev = np.ascontiguousarray(xi[:, k - 1::-1])
+    assert xi_rev[:, ::-1][:, k - 1::-1].flags.c_contiguous
+    return xi_rev[:, ::-1], np.cumsum(xi_rev, axis=1)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("regime", sorted(SCHEMES))
+def test_xi_block_reaches_both_r2_branches(xi_block, regime, mode):
+    # R2 = e^{a S_j} - 1 - a S_j takes a series where |a S_j| < 1e-4 and
+    # the direct form elsewhere; the block comparisons cover both only if
+    # the fixture yields both kinds of element
+    k, params = KS[-1], PARAMS[regime]
+    root = math.sqrt(k) if mode == LITERAL else 1.0
+    a_s = params.alpha_n / root * np.cumsum(xi_block[:, k - 1::-1], axis=1)
+    small = np.count_nonzero(np.abs(a_s) < 1e-4)
+    assert 0 < small < a_s.size
+
+
+def test_weight_tables_are_read_only():
+    g, k = PARAMS["NE"].gamma_n, KS[0]
+    for table in (_tau_weights(g, k), _lemma_weights(g, k),
+                  *_decompose_weights(g, k)):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("k", KS)
@@ -336,7 +392,7 @@ def test_tau_coupling_squares_python_floats(monkeypatch):
     assert len(gaps) == HARNESS_REPS
     draws = iter(w[pick].tolist())
 
-    def chosen_tau_rows(xi, params, k, mode):
+    def chosen_tau_rows(xi, params, k, mode, s=None):
         return np.zeros(len(xi)), np.array([next(draws) for _ in xi])
 
     monkeypatch.setattr(harness, "tau_rows", chosen_tau_rows)
