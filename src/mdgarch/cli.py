@@ -69,13 +69,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_config(path: str, args) -> McConfig:
+def _read_document(path: str, args) -> dict:
+    """The config document with the command-line overrides applied."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"config {path} is not a JSON object")
     run = doc.setdefault("run", {})
+    if not isinstance(run, dict):
+        raise ConfigurationError("config section run is not a JSON object")
     if args.seed is not None:
         run["master_seed"] = args.seed
     if args.reps is not None:
@@ -84,19 +89,24 @@ def load_config(path: str, args) -> McConfig:
         run["mode"] = args.mode
     if args.level is not None:
         run["level"] = args.level
-    return McConfig.from_config(doc)
+    return doc
 
 
-def _read_sweep_grid(path: str, args) -> Sequence[int]:
+def load_config(path: str, args) -> McConfig:
+    return McConfig.from_config(_read_document(path, args))
+
+
+def _read_sweep_grid(doc: dict, args) -> Sequence[int]:
     if getattr(args, "n_grid", None):
         return [int(x) for x in args.n_grid.split(",")]
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    grid = doc.get("sweep", {}).get("n_grid")
+    sweep = doc.get("sweep", {})
+    grid = sweep.get("n_grid") if isinstance(sweep, dict) else None
     if not grid:
         raise ConfigurationError(
             "sweep needs --n-grid or a sweep.n_grid config section")
-    return [int(x) for x in grid]
+    if not (isinstance(grid, list) and all(isinstance(x, int) for x in grid)):
+        raise ConfigurationError("sweep.n_grid must be a list of integers")
+    return grid
 
 
 def _write(out_dir: str, name: str, text: str) -> str:
@@ -201,8 +211,9 @@ def _qq_csv(config: McConfig, spec: RegimeSpec, report) -> str:
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config, args)
-    n_grid = _read_sweep_grid(args.config, args)
+    doc = _read_document(args.config, args)
+    config = McConfig.from_config(doc)
+    n_grid = _read_sweep_grid(doc, args)
     reports, trend = run_n_sweep(config, n_grid)
     for n, rep in zip(n_grid, reports):
         _write(args.out, f"report_n{n}.json", rep.to_json() + "\n")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,6 +43,9 @@ DIAG_FRACTION = 0.8
 # the path diagnostics run over blocks of replications whose (rows, k)
 # temporaries hold about this many doubles (256 KiB) each
 DIAG_BLOCK = 2 ** 15
+# replications are drawn and simulated in chunks of about this many
+# innovations (320 MB)
+CHUNK = 4 * 10 ** 7
 
 # stream index block reserved for reference-law sampling
 _REF_STREAM_BASE = 2 ** 32
@@ -122,10 +125,9 @@ class McConfig:
                 grid=CheckpointGrid(tuple(cfg["grid"]["t_values"])),
                 reps=int(run["reps"]),
                 master_seed=int(run["master_seed"]),
-                mode=run.get("mode", CLASSICAL),
-                tests=tuple(run.get("tests",
-                                    ("vol_gof", "ret_gof", "independence"))),
-                level=float(run.get("level", gof.DEFAULT_LEVEL)),
+                mode=run.get("mode", McConfig.mode),
+                tests=tuple(run.get("tests", McConfig.tests)),
+                level=float(run.get("level", McConfig.level)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"invalid config: {exc}") from exc
@@ -181,9 +183,9 @@ class McReport:
 def validate_config(config: McConfig) -> GarchParams:
     if config.mode not in MODES:
         raise ConfigurationError(f"unknown mode {config.mode!r}")
-    unknown = set(config.tests) - set(ALL_TESTS)
+    unknown = [t for t in config.tests if t not in ALL_TESTS]
     if unknown:
-        raise ConfigurationError(f"unknown tests: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown tests: {unknown}")
     if config.mode == LITERAL and GOF_TESTS & set(config.tests):
         raise ConfigurationError(
             "literal mode is diagnostic-only; GOF tests require classical")
@@ -199,6 +201,8 @@ def validate_config(config: McConfig) -> GarchParams:
         config.grid.checkpoints(config.n)
     except ValueError as exc:
         raise ConfigurationError(str(exc)) from exc
+    except TypeError as exc:
+        raise ConfigurationError(f"invalid config value: {exc}") from exc
     regime = classify_regime(params)
     for home, spec in REGIMES.items():
         if spec.diagnostic in config.tests and home is not regime:
@@ -208,29 +212,6 @@ def validate_config(config: McConfig) -> GarchParams:
         raise ConfigurationError(
             "ret_gof needs a continuous innovation law (discrete CDF)")
     return params
-
-
-def _simulate_chunked(config: McConfig, params: GarchParams, keep):
-    """Yield (first_rep_index, eps, sigma_sq, log_sigma_sq, overflow),
-    the two tracks at the time indices keep only."""
-    n = config.n
-    chunk = max(1, int(4e7 // (n + 1)))
-    for start in range(0, config.reps, chunk):
-        stop = min(start + chunk, config.reps)
-        eps = np.empty((stop - start, n + 1))
-
-        def draw(rows):
-            for i in range(rows.start, rows.stop):
-                sample_innovations(config.innovation, n + 1,
-                                   RngStream(config.master_seed, start + i),
-                                   out=eps[i])
-
-        map_row_blocks(draw, stop - start)
-        yield (start, eps) + recursion_batch(
-            eps, params.omega, params.alpha_n, params.beta_n,
-            params.sigma0_sq, keep=keep)
-        # release this chunk before the next one is drawn
-        del eps
 
 
 def _sorted_mean(values: np.ndarray) -> float:
@@ -266,19 +247,29 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
     xi_var = xi_second_moment(config.innovation)
     k_diag = diag_checkpoint(n)
 
-    # checkpoint rows: (checkpoint, replication)
-    sigma_k = np.empty((len(ks), reps))
-    log_sigma_k = np.empty((len(ks), reps))
-    eps_k = np.empty((len(ks), reps))
     need_paths = {"lemma", "remainders", "tau_coupling"} & set(config.tests)
     diag_rows = max(1, DIAG_BLOCK // k_diag)
     lemma_vals = np.empty(reps) if "lemma" in config.tests else None
     tau_vals = np.empty(reps) if "tau_coupling" in config.tests else None
     decomps = [None] * reps if "remainders" in config.tests else None
+    vol, ret = np.empty((reps, len(ks))), np.empty((reps, len(ks)))
 
-    def diagnose(eps, start, rows):
-        """The path diagnostics of chunk rows `rows`, written at
-        replications start + rows."""
+    # the helpers below read the current chunk: replications start + i of
+    # eps and of the tracks kept at the checkpoints
+    def draw(rows):
+        for i in range(rows.start, rows.stop):
+            sample_innovations(config.innovation, n + 1,
+                               RngStream(config.master_seed, start + i),
+                               out=eps[i])
+
+    def checkpoint_stats(m, k, r=slice(None)):
+        s, ls = sigma_sq[r, m], log_sigma_sq[r, m]
+        return (spec.vol_stats(s, ls, params, n, k, xi_var, mode).value,
+                spec.ret_stats(*checkpoint_returns(s, ls, eps[r, k]),
+                               params, k, mode).value)
+
+    def diagnose(rows):
+        """The path diagnostics of chunk rows `rows`."""
         # xi_{k-1}, ..., xi_0, the only columns the diagnostics read, as
         # one contiguous block, and its prefix sums, shared by all three
         xi_rev = eps[rows, k_diag - 1::-1] ** 2
@@ -297,38 +288,30 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
         if decomps is not None:
             decomps[block] = decompose_rows(xi, params, k_diag, mode, s=s)
 
-    for start, eps, sigma_sq, log_sigma_sq, _ in \
-            _simulate_chunked(config, params, ks):
-        rows = slice(start, start + eps.shape[0])
-        sigma_k[:, rows] = sigma_sq.T
-        log_sigma_k[:, rows] = log_sigma_sq.T
-        eps_k[:, rows] = eps[:, ks].T
+    chunk = max(1, CHUNK // (n + 1))
+    for start in range(0, reps, chunk):
+        eps = np.empty((min(chunk, reps - start), n + 1))
+        map_row_blocks(draw, len(eps))
+        sigma_sq, log_sigma_sq, _ = recursion_batch(
+            eps, params.omega, params.alpha_n, params.beta_n,
+            params.sigma0_sq, keep=ks)
+        rows = slice(start, start + len(eps))
+        for m, k in enumerate(ks):
+            try:
+                vol[rows, m], ret[rows, m] = checkpoint_stats(m, k)
+            except CancellationError as exc:
+                # a batch raises when any element cancels; name the first
+                where = f"checkpoint k={k}"
+                for i in range(len(eps)):
+                    try:
+                        checkpoint_stats(m, k, slice(i, i + 1))
+                    except CancellationError:
+                        where += f", replication {start + i}"
+                        break
+                raise CancellationError(f"{where}: {exc}") from exc
         if need_paths:
-            map_row_blocks(lambda r: diagnose(eps, start, r), eps.shape[0],
-                           diag_rows)
-        # release this chunk before the next one is drawn
-        del eps, sigma_sq, log_sigma_sq
-
-    def checkpoint_stats(m, k, r=slice(None)):
-        s, ls = sigma_k[m, r], log_sigma_k[m, r]
-        return (spec.vol_stats(s, ls, params, n, k, xi_var, mode).value,
-                spec.ret_stats(*checkpoint_returns(s, ls, eps_k[m, r]),
-                               params, k, mode).value)
-
-    vol, ret = np.empty((reps, len(ks))), np.empty((reps, len(ks)))
-    for m, k in enumerate(ks):
-        try:
-            vol[:, m], ret[:, m] = checkpoint_stats(m, k)
-        except CancellationError as exc:
-            # a batch raises when any element cancels; name the first
-            where = f"checkpoint k={k}"
-            for i in range(reps):
-                try:
-                    checkpoint_stats(m, k, slice(i, i + 1))
-                except CancellationError:
-                    where += f", replication {i}"
-                    break
-            raise CancellationError(f"{where}: {exc}") from exc
+            map_row_blocks(diagnose, len(eps), diag_rows)
+        del eps
     if vol_shift != 0.0:
         vol = vol + vol_shift
 
@@ -428,13 +411,7 @@ def run_n_sweep(config: McConfig,
         raise ConfigurationError("n_grid must have at least 3 points")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigurationError("n_grid must be strictly increasing")
-    reports = []
-    for n in n_grid:
-        cfg = McConfig(scheme=config.scheme, innovation=config.innovation,
-                       n=int(n), grid=config.grid, reps=config.reps,
-                       master_seed=config.master_seed, mode=config.mode,
-                       tests=config.tests, level=config.level)
-        reports.append(run_experiment(cfg))
+    reports = [run_experiment(replace(config, n=int(n))) for n in n_grid]
 
     trend: Dict[str, dict] = {"n_grid": {"values": [int(n) for n in n_grid]}}
     if "lemma" in config.tests:

@@ -16,8 +16,9 @@ most ``WORKERS`` contiguous row blocks of at least ``KERNEL_MIN_ROWS``
 rows and runs the kernel on them in up to ``WORKERS`` threads
 (``map_row_blocks``); numpy's loops release the GIL, so the blocks
 overlap on separate cores.  ``WORKERS`` is the number of CPUs this
-process may run on; it is not an option.  Each row's arithmetic is the same whichever block it lands in,
-so the outputs do not depend on the worker count.
+process may run on; it is not an option.  Each row's arithmetic is the
+same whichever block it lands in, so the outputs do not depend on the
+worker count.
 
 Contract: on all three outputs (linear track, log track, overflow
 index) ``recursion_batch`` is bit-identical to the step-by-step loop

@@ -95,11 +95,9 @@ def volatility_multiplicative(params: GarchParams, eps: np.ndarray,
     return log_val, lin
 
 
-def _expm1_minus_x(x: np.ndarray,
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
+def _expm1_minus_x(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """exp(x) - 1 - x with full relative accuracy near zero, written to
-    out when given (a buffer other than x)."""
-    x = np.asarray(x, dtype=float)
+    out (a buffer other than x)."""
     small = np.abs(x, out=out) < 1e-4
     with np.errstate(over="ignore"):
         out = np.expm1(x, out=out)

@@ -27,7 +27,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .localization import GarchParams, Regime, classify_regime
-from .simulate import CLASSICAL, LITERAL, MODES, GarchPath
+from .simulate import (CLASSICAL, LITERAL, MODES, GarchPath,
+                       _decompose_weights)
 
 
 class WrongRegime(ValueError):
@@ -394,14 +395,6 @@ def lemma_discrepancy(path: GarchPath, params: GarchParams, k: int,
 
 
 @functools.lru_cache(maxsize=1)
-def _tau_weights(g: float, k: int) -> np.ndarray:
-    """e^{g j}, j = 1..k-1, read-only; one table per run."""
-    wgt = np.exp(g * np.arange(1, k, dtype=float))
-    wgt.flags.writeable = False
-    return wgt
-
-
-@functools.lru_cache(maxsize=1)
 def _lemma_weights(g: float, k: int) -> np.ndarray:
     """g e^{g (j-k)}, j = 1..k-1, read-only; one table per run."""
     wgt = g * np.exp(g * np.arange(1 - k, 0, dtype=float))
@@ -424,7 +417,8 @@ def tau_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
     xi_rev = xi[..., k - 1::-1]
     if s is None:
         s = np.cumsum(xi_rev, axis=-1)
-    wgt = _tau_weights(params.gamma_n / root, k)
+    # e^{g j}, j = 1..k-1: the decomposition's table, built once per run
+    wgt = _decompose_weights(params.gamma_n / root, k)[2]
     # weighted sums by numpy's fixed-order pairwise sum, not np.dot, whose
     # BLAS sum order (and last bits) follows the thread count
     return (np.add.reduce(wgt * xi_rev[..., :k - 1], axis=-1) / quarter,

@@ -2,10 +2,13 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mdgarch
 from mdgarch import harness
 from mdgarch.cli import main
 from mdgarch.innovations import InnovationSpec, RngStream
@@ -107,10 +110,14 @@ class TestVerify:
         assert "k=800" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("chunk_rows", [30, 37, 38, None])
     def test_cancellation_names_the_replication(self, tmp_path, capsys,
-                                                monkeypatch):
-        # only replication 37 cancels at k = 800; the batch raises, and
-        # the message names the checkpoint and that replication
+                                                monkeypatch, chunk_rows):
+        # only replication 37 cancels at k = 800; the chunk's batch
+        # raises, and the message names the checkpoint and that
+        # replication, also when it lies in a later chunk
+        if chunk_rows is not None:
+            monkeypatch.setattr(harness, "CHUNK", chunk_rows * 2001)
         cfg = write_config(tmp_path / "c.json", n=2000, reps=200, seed=7)
         doc = json.loads(cfg.read_text())
         params = realize_params(LocalizationScheme.from_config(doc["scheme"]),
@@ -263,3 +270,63 @@ class TestUsage:
 
     def test_missing_required_flag_exit_2(self, capsys):
         assert main(["verify"]) == 2
+
+
+def _set(section, key, value):
+    def edit(doc):
+        doc[section][key] = value
+        return doc
+    return edit
+
+
+def _innovation(**spec):
+    def edit(doc):
+        doc["innovation"] = spec
+        doc["run"]["tests"] = ["vol_gof", "independence"]
+        return doc
+    return edit
+
+
+class TestMalformedConfig:
+    """A config value of the wrong JSON type is a configuration error
+    (exit 2), never a traceback or a statistical FAIL (1)."""
+
+    @pytest.mark.parametrize("command,edit,flags", [
+        ("verify", lambda doc: [doc], []),
+        ("verify", lambda doc: {**doc, "run": []}, ["--seed", "3"]),
+        ("verify", _set("scheme", "c_gamma", "1"), []),
+        ("verify", _innovation(kind="student-t-normalized", df="8"), []),
+        ("verify", _innovation(kind="two-point-mixture", a="0.5",
+                               b=math.sqrt(1.75), w=0.5), []),
+        ("sweep", lambda doc: {**doc, "sweep": {"n_grid": 5}}, []),
+        ("verify", _set("run", "tests", [["vol_gof"]]), []),
+    ], ids=["document-list", "run-list", "c_gamma-string", "df-string",
+            "mixture-a-string", "n_grid-int", "tests-nested-list"])
+    def test_exit_2(self, tmp_path, capsys, command, edit, flags):
+        cfg = write_config(tmp_path / "c.json", n=400, reps=120)
+        cfg.write_text(json.dumps(edit(json.loads(cfg.read_text()))))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]
+                    + flags) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_verify_imports_neither_scipy_nor_concurrent_futures(tmp_path):
+    # importing scipy.special (0.19 s on a 2-vCPU Xeon host) takes longer
+    # than a small verify run's whole set-up; only the CDFs that need it
+    # import it.  The worker threads use threading, not an executor
+    cfg = write_config(tmp_path / "c.json", n=400, reps=120)
+    script = ("import sys; from mdgarch.cli import main; "
+              f"rc = main(['verify', '--config', {str(cfg)!r}, "
+              f"'--out', {str(tmp_path / 'out')!r}]); "
+              "print(rc, sorted(m for m in ('scipy', 'concurrent.futures') "
+              "if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(mdgarch.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    rc, imported = done.stdout.splitlines()[-1].split(" ", 1)
+    assert rc in ("0", "1") and imported == "[]"

@@ -26,8 +26,8 @@ from mdgarch.simulate import (CLASSICAL, LITERAL, MODES, DecompositionReport,
                               GarchPath, _decompose_weights, decompose_rows,
                               decompose_volatility, simulate_path)
 from mdgarch.stats import (CheckpointGrid, _lemma_weights, _require,
-                           _tau_weights, lemma_discrepancy, lemma_rows,
-                           tau_rows, tau_stats)
+                           lemma_discrepancy, lemma_rows, tau_rows,
+                           tau_stats)
 
 
 
@@ -296,8 +296,7 @@ def test_xi_block_reaches_both_r2_branches(xi_block, regime, mode):
 
 def test_weight_tables_are_read_only():
     g, k = PARAMS["NE"].gamma_n, KS[0]
-    for table in (_tau_weights(g, k), _lemma_weights(g, k),
-                  *_decompose_weights(g, k)):
+    for table in (_lemma_weights(g, k), *_decompose_weights(g, k)):
         with pytest.raises(ValueError):
             table[0] = 0.0
 

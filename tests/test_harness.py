@@ -12,7 +12,7 @@ from mdgarch.harness import (ConfigurationError, McConfig, McReport,
                              run_n_sweep, sweep_verdict, validate_config)
 from mdgarch.innovations import InnovationSpec
 from mdgarch.localization import LocalizationScheme
-from mdgarch.simulate import LITERAL, MODES
+from mdgarch.simulate import CLASSICAL, LITERAL, MODES
 from mdgarch.stats import CheckpointGrid
 
 NORMAL = InnovationSpec(kind="standard-normal")
@@ -182,6 +182,14 @@ DIAGNOSTICS = {"NS": ("tau_coupling", "remainders"), "INT": ("remainders",),
                "NE": ("lemma", "remainders")}
 
 
+def report_bytes(config):
+    """What a run writes: report.json, stats.csv and the decompositions."""
+    rep = run_experiment(config)
+    return (rep.to_json(), rep.stats_csv(),
+            None if rep.decompositions is None
+            else [repr(d) for d in rep.decompositions])
+
+
 class TestWorkerCount:
     """Reports do not depend on how many row blocks run at once.  One-row
     kernel blocks are allowed here, so the kernel splits these small
@@ -191,10 +199,7 @@ class TestWorkerCount:
     def outputs(monkeypatch, config, workers):
         monkeypatch.setattr(kernels, "WORKERS", workers)
         monkeypatch.setattr(kernels, "KERNEL_MIN_ROWS", 1)
-        rep = run_experiment(config)
-        return (rep.to_json(), rep.stats_csv(),
-                None if rep.decompositions is None
-                else [repr(d) for d in rep.decompositions])
+        return report_bytes(config)
 
     @pytest.mark.parametrize("innovation", [NORMAL, T8], ids=["normal", "t8"])
     @pytest.mark.parametrize("regime", REGIME_SCHEMES)
@@ -265,6 +270,22 @@ class TestWorkerCount:
             run_experiment(ns_config(scheme=REGIME_SCHEMES["NE"], reps=50,
                                      tests=DIAGNOSTICS["NE"]))
         assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("regime,mode,tests", [
+    ("NS", CLASSICAL, McConfig.tests), ("INT", CLASSICAL, McConfig.tests),
+    ("NE", LITERAL, DIAGNOSTICS["NE"]), ("NS", CLASSICAL, DIAGNOSTICS["NS"])],
+    ids=["NS-verify", "INT-verify", "NE-literal-diagnose",
+         "NS-classical-diagnose"])
+def test_chunk_size_leaves_reports_unchanged(monkeypatch, regime, mode,
+                                             tests):
+    config = ns_config(scheme=REGIME_SCHEMES[regime], n=400, reps=120,
+                       mode=mode, tests=tests)
+    assert harness.CHUNK // (config.n + 1) >= config.reps
+    want = report_bytes(config)
+    for rows in (1, 7, 50):
+        monkeypatch.setattr(harness, "CHUNK", rows * (config.n + 1))
+        assert report_bytes(config) == want
 
 
 class TestSweep:
