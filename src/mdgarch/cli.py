@@ -2,10 +2,10 @@
 
 Subcommands: simulate, verify, diagnose, sweep.  Exit codes: 0 all
 enabled statistical tests pass, 1 a statistical test fails, 2 usage or
-configuration error, 3 a statistic lost all its significant digits to
-cancellation (the message names the checkpoint k).  All numeric file
-output is printed with 17 significant digits and is byte-identical
-across reruns with the same master seed.
+configuration error, or a run too large for memory, 3 a statistic lost
+all its significant digits to cancellation (the message names the
+checkpoint k).  All numeric file output is printed with 17 significant
+digits and is byte-identical across reruns with the same master seed.
 """
 
 from __future__ import annotations
@@ -236,6 +236,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return handlers[args.command](args)
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # too large a run for this host: not a statistical failure
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CancellationError as exc:
         print(f"error: numerical cancellation: {exc}", file=sys.stderr)

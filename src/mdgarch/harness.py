@@ -3,12 +3,26 @@
 Replications are keyed to (master_seed, replication_id) streams, so the
 report is a pure function of the config and seed; every reduction sorts
 its inputs first, which makes the result independent of replication
-order and hence of any scheduling.  Sampling (one replication per
-block), the kernel and the path diagnostics (one diagnostic block each)
-run over row blocks of a chunk, shared by as many threads as the CPUs
-the process may use (``kernels.map_row_blocks``); each replication is
-computed the same way in any block and thread, so the report bytes do
-not depend on the worker count.
+order and hence of any scheduling.
+
+Replications run in chunks of rows.  A chunk keeps one generator per
+replication and streams its innovations through the kernel in time
+blocks of ``TIME_BLOCK`` columns: each block is drawn into one reused
+(rows, TIME_BLOCK) buffer and advances the recursion's state
+(``kernels.Recursion``), and only the checkpoint columns (sigma^2, log
+sigma^2 and eps_k) are kept.  When path diagnostics are requested, the
+innovations of the window [0, k_diag) that they read are drawn straight
+into a (rows, k_diag) array instead, as one time block.  Memory thus
+scales with rows x TIME_BLOCK (plus rows x k_diag for the diagnostics),
+not with rows x n.
+
+Sampling (a slice of a time block's rows per block, or each kernel row
+block's own rows in its thread), the kernel and the path diagnostics
+(one diagnostic block each) run over row blocks of a chunk, shared by as
+many threads as the CPUs the process may use (``kernels.map_row_blocks``);
+each replication is computed the same way in any row block, time block
+and thread, so the report bytes depend on neither the worker count nor
+the block sizes.
 """
 
 from __future__ import annotations
@@ -22,9 +36,9 @@ import numpy as np
 
 from . import gof, limits
 from .innovations import (InnovationSpec, RngStream, innovation_cdf,
-                          sample_innovations, validate_spec,
-                          xi_second_moment)
-from .kernels import map_row_blocks, recursion_batch
+                          sample_innovations, stream_generators,
+                          validate_spec, xi_second_moment)
+from .kernels import Recursion, kernel_block_rows, map_row_blocks
 from .localization import (GarchParams, LocalizationScheme, Regime,
                            classify_regime, realize_params)
 from .simulate import (CLASSICAL, LITERAL, MODES, DecompositionReport,
@@ -43,9 +57,19 @@ DIAG_FRACTION = 0.8
 # the path diagnostics run over blocks of replications whose (rows, k)
 # temporaries hold about this many doubles (256 KiB) each
 DIAG_BLOCK = 2 ** 15
-# replications are drawn and simulated in chunks of about this many
-# innovations (320 MB)
+# a chunk holds at most this many innovations (320 MB) at once, in its
+# diagnostics window (rows x k_diag) or else in its time-block buffer
+# (rows x TIME_BLOCK); that bounds the rows per chunk
 CHUNK = 4 * 10 ** 7
+# innovation columns drawn and stepped per time block.  Drawing a block
+# costs a GIL-held call per replication: two sampling threads drew
+# 2000 x 5001 innovations in 0.18 s in blocks of 1024 columns and in
+# 0.46 s in blocks of 512 (2-vCPU host)
+TIME_BLOCK = 1024
+# sampling threads take a time block's rows in slices of about this many
+# innovations; one row at a time, the two threads queued on the slice
+# lock and the GIL (0.18 s against 0.16 s for slices of 16 rows)
+DRAW_SLICE = 2 ** 15
 
 # stream index block reserved for reference-law sampling
 _REF_STREAM_BASE = 2 ** 32
@@ -118,6 +142,10 @@ class McConfig:
     def from_config(cfg: dict) -> "McConfig":
         try:
             run = cfg["run"]
+            tests = run.get("tests", list(McConfig.tests))
+            if not isinstance(tests, list):
+                raise ConfigurationError(
+                    f"run.tests must be a list of test names, got {tests!r}")
             return McConfig(
                 scheme=LocalizationScheme.from_config(cfg["scheme"]),
                 innovation=InnovationSpec.from_config(cfg["innovation"]),
@@ -126,7 +154,7 @@ class McConfig:
                 reps=int(run["reps"]),
                 master_seed=int(run["master_seed"]),
                 mode=run.get("mode", McConfig.mode),
-                tests=tuple(run.get("tests", McConfig.tests)),
+                tests=tuple(tests),
                 level=float(run.get("level", McConfig.level)),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -254,25 +282,24 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
     decomps = [None] * reps if "remainders" in config.tests else None
     vol, ret = np.empty((reps, len(ks))), np.empty((reps, len(ks)))
 
-    # the helpers below read the current chunk: replications start + i of
-    # eps and of the tracks kept at the checkpoints
+    # the helpers below read the current chunk: replications start + i,
+    # their generators, the current time block and the kept columns
     def draw(rows):
         for i in range(rows.start, rows.stop):
-            sample_innovations(config.innovation, n + 1,
-                               RngStream(config.master_seed, start + i),
-                               out=eps[i])
+            sample_innovations(config.innovation, block.shape[1], gens[i],
+                               out=block[i])
 
     def checkpoint_stats(m, k, r=slice(None)):
-        s, ls = sigma_sq[r, m], log_sigma_sq[r, m]
+        s, ls = rec.sigma_sq[r, m], rec.log_sigma_sq[r, m]
         return (spec.vol_stats(s, ls, params, n, k, xi_var, mode).value,
-                spec.ret_stats(*checkpoint_returns(s, ls, eps[r, k]),
+                spec.ret_stats(*checkpoint_returns(s, ls, eps_k[r, m]),
                                params, k, mode).value)
 
     def diagnose(rows):
         """The path diagnostics of chunk rows `rows`."""
         # xi_{k-1}, ..., xi_0, the only columns the diagnostics read, as
         # one contiguous block, and its prefix sums, shared by all three
-        xi_rev = eps[rows, k_diag - 1::-1] ** 2
+        xi_rev = window[rows, ::-1] ** 2
         xi_rev -= 1.0
         xi, s = xi_rev[:, ::-1], np.cumsum(xi_rev, axis=1)
         block = slice(start + rows.start, start + rows.stop)
@@ -288,21 +315,43 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
         if decomps is not None:
             decomps[block] = decompose_rows(xi, params, k_diag, mode, s=s)
 
-    chunk = max(1, CHUNK // (n + 1))
+    k_window = k_diag if need_paths else 0
+    chunk = max(1, CHUNK // (k_window or TIME_BLOCK))
+    cols = np.asarray(ks)
     for start in range(0, reps, chunk):
-        eps = np.empty((min(chunk, reps - start), n + 1))
-        map_row_blocks(draw, len(eps))
-        sigma_sq, log_sigma_sq, _ = recursion_batch(
-            eps, params.omega, params.alpha_n, params.beta_n,
-            params.sigma0_sq, keep=ks)
-        rows = slice(start, start + len(eps))
+        rows = min(chunk, reps - start)
+        gens = stream_generators(config.master_seed, start, rows)
+        rec = Recursion(rows, n, params.omega, params.alpha_n, params.beta_n,
+                        params.sigma0_sq, ks)
+        eps_k = np.empty((rows, len(ks)))
+        # the window and the time-block buffer share one allocation: a
+        # buffer of a few MB freed on its own raises glibc's mmap
+        # threshold, after which the heap kept 30 MB more across passes
+        # of the sweep-long benchmark
+        held = _row_array(rows, k_window + min(TIME_BLOCK, n + 1 - k_window))
+        window, buffer = held[:, :k_window], held[:, k_window:]
+        # the diagnostics window is one time block: one draw per row
+        starts = list(range(k_window, n + 1, TIME_BLOCK))
+        for a in [0] + starts if k_window else starts:
+            block = (window if a < k_window
+                     else buffer[:, :min(TIME_BLOCK, n + 1 - a)])
+            if kernel_block_rows(rows) < rows:
+                # each kernel row block draws its own rows in its thread
+                rec.advance(block, a, fill=draw)
+            else:
+                map_row_blocks(draw, rows,
+                               max(1, DRAW_SLICE // block.shape[1]))
+                rec.advance(block, a)
+            m = np.flatnonzero((cols >= a) & (cols < a + block.shape[1]))
+            eps_k[:, m] = block[:, cols[m] - a]
+        out = slice(start, start + rows)
         for m, k in enumerate(ks):
             try:
-                vol[rows, m], ret[rows, m] = checkpoint_stats(m, k)
+                vol[out, m], ret[out, m] = checkpoint_stats(m, k)
             except CancellationError as exc:
                 # a batch raises when any element cancels; name the first
                 where = f"checkpoint k={k}"
-                for i in range(len(eps)):
+                for i in range(rows):
                     try:
                         checkpoint_stats(m, k, slice(i, i + 1))
                     except CancellationError:
@@ -310,8 +359,8 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
                         break
                 raise CancellationError(f"{where}: {exc}") from exc
         if need_paths:
-            map_row_blocks(diagnose, len(eps), diag_rows)
-        del eps
+            map_row_blocks(diagnose, rows, diag_rows)
+        del held, window, buffer, block
     if vol_shift != 0.0:
         vol = vol + vol_shift
 
@@ -354,6 +403,15 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
                     checkpoints=ks, results=results, moments=moments,
                     master_seed=config.master_seed, verdict=verdict,
                     vol_stats=vol, ret_stats=ret, decompositions=decomps)
+
+
+def _row_array(rows: int, cols: int) -> np.ndarray:
+    """An uninitialized (rows, cols) view whose row stride is an odd
+    number of 64-byte cache lines.  The kernel reads a time block down
+    its columns; with a row stride of TIME_BLOCK doubles, a power of two,
+    every row of a column falls in the same cache set, and stepping
+    2000 x 5000 innovations through 1024-column blocks took 1.6x as long."""
+    return np.empty((rows, 8 * (-(-cols // 8) | 1)))[:, :cols]
 
 
 def _gof_entry(res: gof.GofResult, k: int) -> dict:

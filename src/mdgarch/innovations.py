@@ -8,7 +8,7 @@ squared innovation xi = eps^2 - 1 obeys a CLT.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -34,6 +34,101 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng([self.master_seed, self.stream_index])
+
+
+# numpy's SeedSequence constants (pool of 4 uint32 words)
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(value: int) -> list:
+    """value as little-endian uint32 words, as SeedSequence splits it."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+class _SeedState:
+    """A seed sequence whose state is already generated: PCG64 reads it
+    through ``generate_state`` (registered as an ``ISeedSequence`` by
+    stream_generators)."""
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._state
+
+
+def _pcg64_states(master_seed: int, first: int, count: int) -> np.ndarray:
+    """SeedSequence([master_seed, first + i]).generate_state(4, uint64)
+    for i < count, as a (count, 4) array; first .. first + count - 1 must
+    share all but their lowest 32-bit word."""
+    u32 = np.uint32
+    low = np.arange(first & _MASK32, (first & _MASK32) + count,
+                    dtype=np.uint64).astype(u32)
+    # uint32 arrays wrap silently (numpy scalars would warn)
+    entropy = [np.full(count, w, dtype=u32) for w in _words(master_seed)]
+    entropy += [low] + [np.full(count, w, dtype=u32)
+                        for w in _words(first)[1:]]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * u32(hash_const)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return result ^ (result >> u32(16))
+
+    pool = [hashmix(entropy[i] if i < len(entropy)
+                    else np.zeros(count, dtype=u32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((count, 8), dtype=u32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ u32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * u32(hash_const)
+        state[:, i] = value ^ (value >> u32(16))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def stream_generators(master_seed: int, first: int,
+                      count: int) -> List[np.random.Generator]:
+    """[RngStream(master_seed, first + i).generator() for i < count], bit
+    for bit, from one vectorized pass of numpy's SeedSequence hash over
+    each run of indices that share their upper 32-bit words."""
+    # numpy.random (15 ms to import) loads on first use, not with mdgarch
+    from numpy.random.bit_generator import ISeedSequence
+
+    if first < 0 or count < 0:
+        raise ValueError("stream indices must be non-negative")
+    _words(master_seed)   # a negative seed raises, as in SeedSequence
+    ISeedSequence.register(_SeedState)
+    gens: List[np.random.Generator] = []
+    stop = first + count
+    while first < stop:
+        end = min(stop, (first | _MASK32) + 1)
+        gens += [np.random.Generator(np.random.PCG64(_SeedState(row)))
+                 for row in _pcg64_states(master_seed, first, end - first)]
+        first = end
+    return gens
 
 
 @dataclass(frozen=True)
@@ -116,27 +211,32 @@ def xi_second_moment(spec: InnovationSpec) -> float:
 
 
 def sample_innovations(spec: InnovationSpec, count: int,
-                       stream: RngStream,
+                       stream: Union[RngStream, np.random.Generator],
                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Draw ``count`` i.i.d. innovations, deterministic in the stream.
 
-    With ``out`` (a float64 array of shape (count,)) the draws are
-    written there, with the same bytes, and ``out`` is returned.
+    ``stream`` is a stream identity (drawn from its start) or a live
+    generator (drawn from where it stands).  Each law consumes its
+    generator one innovation at a time, so drawing a stream in blocks
+    of any sizes gives the bytes of one call.  With ``out`` (a float64
+    array of shape (count,)) the draws are written there, with the same
+    bytes, and ``out`` is returned.
     """
     validate_spec(spec)
     if count < 1:
         raise ValueError("count must be >= 1")
     if out is not None and out.shape != (count,):
         raise ValueError(f"out has shape {out.shape}, need ({count},)")
-    rng = stream.generator()
+    rng = stream.generator() if isinstance(stream, RngStream) else stream
     if spec.kind == "standard-normal":
         return rng.standard_normal(count, out=out)
     if spec.kind == "student-t-normalized":
         return np.multiply(rng.standard_t(spec.df, size=count),
                            _t_scale(spec.df), out=out)
-    mags = np.where(rng.random(count) < spec.w, abs(spec.a), abs(spec.b))
-    signs = np.where(rng.random(count) < 0.5, -1.0, 1.0)
-    return np.multiply(mags, signs, out=out)
+    # one (magnitude, sign) pair of uniforms per innovation
+    u = rng.random((count, 2))
+    mags = np.where(u[:, 0] < spec.w, abs(spec.a), abs(spec.b))
+    return np.multiply(mags, np.where(u[:, 1] < 0.5, -1.0, 1.0), out=out)
 
 
 def innovation_cdf(spec: InnovationSpec):

@@ -1,24 +1,34 @@
 """The volatility recursion sigma_t^2 = omega + (alpha eps_{t-1}^2 + beta)
 sigma_{t-1}^2 for a batch of innovation rows, on numpy alone.
 
-A batch of several rows runs a time-major kernel.  Per block of
+``Recursion`` holds the recursion's state for a batch of rows and
+advances it one time block of innovations at a time
+(``Recursion.advance``): per row the last sigma^2, the first overflow
+index and the last finite value before it, the log-space value of rows
+that have overflowed, and both tracks at the kept time indices.  Only
+those are kept, so the innovations can be drawn and dropped block by
+block.  ``recursion_batch`` is the case of one block holding the whole
+path.
+
+A block of several rows runs a time-major kernel.  Per sub-block of
 ``BLOCK`` steps it computes the factors ``alpha*(e*e) + beta`` as a
-(block, reps) array, advances each step as an in-place multiply and add
-on one contiguous row and copies out only the kept columns.  A batch of
+(steps, rows) array, advances each step as an in-place multiply and add
+on one contiguous row and copies out only the kept columns.  A block of
 one row runs its linear track as a plain Python-float loop, since
 per-step numpy dispatch on length-1 arrays costs far more than the
-arithmetic.  Both routes share the log track: one ``np.log`` over the
-kept finite entries, then ``logaddexp`` log-space steps only for rows
-that overflowed, from their first overflow on.
+arithmetic.  Both routes share the log track: ``np.log`` over the kept
+finite entries, then ``logaddexp`` log-space steps only for rows that
+overflowed, from their first overflow on.
 
-Rows are independent, so ``recursion_batch`` splits a batch into at
-most ``WORKERS`` contiguous row blocks of at least ``KERNEL_MIN_ROWS``
-rows and runs the kernel on them in up to ``WORKERS`` threads
-(``map_row_blocks``); numpy's loops release the GIL, so the blocks
-overlap on separate cores.  ``WORKERS`` is the number of CPUs this
-process may run on; it is not an option.  Each row's arithmetic is the
-same whichever block it lands in, so the outputs do not depend on the
-worker count.
+Rows are independent, so ``advance`` splits a batch into at most
+``WORKERS`` contiguous row blocks of at least ``KERNEL_MIN_ROWS`` rows
+and runs them in up to ``WORKERS`` threads (``map_row_blocks``); numpy's
+loops release the GIL, so the blocks overlap on separate cores.  A
+caller may pass a ``fill`` that writes each row block's innovations in
+that block's thread just before its steps.  ``WORKERS`` is the number
+of CPUs this process may run on; it is not an option.  Each row's
+arithmetic is the same whichever row block and time block it lands in,
+so the outputs depend on neither the worker count nor the time blocks.
 
 Contract: on all three outputs (linear track, log track, overflow
 index) ``recursion_batch`` is bit-identical to the step-by-step loop
@@ -98,106 +108,183 @@ def map_row_blocks(fn: Callable[[slice], object], rows: int,
     return results
 
 
-def _recursion_blocked_py(eps, omega, alpha, beta, sigma0_sq, cols):
-    """recursion_batch on the numpy kernel, for a batch of rows.  Past an
-    overflow the linear track is inf (nan where a zero factor meets inf)
-    and the log track continues exactly in log space."""
-    reps, n1 = eps.shape
-    sigma_sq = np.empty((reps, len(cols)))
-    overflow_at = np.full(reps, -1, dtype=np.int64)
-    last_finite = np.empty(reps)   # sigma_sq[r, overflow_at[r] - 1]
-    prev = np.full(reps, sigma0_sq)
-    factors = np.empty((min(BLOCK, n1 - 1), reps))
-    for a in range(1, n1, BLOCK):
-        b = min(a + BLOCK, n1)
-        block = factors[:b - a]
-        np.copyto(block, eps[:, a - 1:b - 1].T)
-        # overflow to inf (and 0 * inf = nan) is expected on explosive
-        # paths; the log-space pass carries the exact value onward
-        with np.errstate(over="ignore", invalid="ignore"):
-            block *= block
-            block *= alpha
-            block += beta
-            row = prev
-            for cur in block:
-                cur *= row
-                cur += omega
-                row = cur
-        # a non-finite sigma^2 stays non-finite, so the block's last row
-        # shows every overflow
-        newly = ~np.isfinite(block[-1]) & (overflow_at < 0)
-        if newly.any():
-            rows = np.flatnonzero(newly)
-            j = np.isfinite(block[:, rows]).argmin(axis=0)
-            overflow_at[rows] = a + j
-            last_finite[rows] = np.where(j > 0, block[j - 1, rows],
-                                         prev[rows])
-        m = np.flatnonzero((cols >= a) & (cols < b))
-        sigma_sq[:, m] = block[cols[m] - a].T
-        prev = block[-1].copy()
-    sigma_sq[:, np.flatnonzero(cols == 0)] = sigma0_sq
-    return _with_log_track(eps, omega, alpha, beta, sigma0_sq, cols,
-                           sigma_sq, overflow_at, last_finite)
+def kernel_block_rows(reps: int) -> int:
+    """Rows per kernel row block: at most WORKERS blocks, each of at
+    least KERNEL_MIN_ROWS rows unless the batch has fewer."""
+    blocks = max(1, min(WORKERS, reps // KERNEL_MIN_ROWS))
+    return max(1, -(-reps // blocks))
 
 
-def _recursion_row_py(eps, omega, alpha, beta, sigma0_sq, cols):
-    """_recursion_blocked_py for a batch of one row, bit for bit: the
-    linear track is a Python-float loop through memoryviews (inf and nan
-    propagate as in numpy)."""
-    n = eps.shape[1] - 1
-    sigma_sq = np.empty(n + 1)
-    track = memoryview(sigma_sq)
-    cur = track[0] = sigma0_sq
-    for t, e in enumerate(memoryview(eps[0])[:n], start=1):
-        cur = omega + (alpha * (e * e) + beta) * cur
-        track[t] = cur
-    finite = np.isfinite(sigma_sq)
-    t0 = -1 if finite.all() else int(np.argmin(finite))
-    return _with_log_track(eps, omega, alpha, beta, sigma0_sq, cols,
-                           sigma_sq.take(cols)[None], np.array([t0]),
-                           sigma_sq[[max(t0 - 1, 0)]])
+class Recursion:
+    """The recursion's state for a batch of ``reps`` rows over time
+    indices 0..n, keeping both tracks at the time indices ``keep`` (all
+    n+1 when None).
 
+    ``advance`` takes the steps of one time block; after the last
+    (step n), ``sigma_sq`` and ``log_sigma_sq`` (shape (reps, len(keep)))
+    hold the tracks at ``keep`` and ``overflow_at`` per row the first t
+    with non-finite sigma_sq, or -1.  Past an overflow the linear track
+    is inf (nan where a zero factor meets inf) and the log track
+    continues exactly in log space.
+    """
 
-def _with_log_track(eps, omega, alpha, beta, sigma0_sq, cols, sigma_sq,
-                    overflow_at, last_finite):
-    """Add the log track at cols: one np.log over the kept entries, then,
-    for each overflowed row r from overflow_at[r] on, the log-space
-    recursion from the log of last_finite[r]."""
-    log_sigma_sq = np.log(sigma_sq)   # inf/nan entries are replaced below
-    log_sigma_sq[:, np.flatnonzero(cols == 0)] = math.log(sigma0_sq)
-    rows = np.flatnonzero(overflow_at >= 0)
-    if not rows.size:
-        return sigma_sq, log_sigma_sq, overflow_at
-    t0 = overflow_at[rows]
-    start = np.log(last_finite[rows])
-    start[t0 == 1] = math.log(sigma0_sq)
-    log_omega = math.log(omega)
-    log_alpha = math.log(alpha) if alpha > 0.0 else -math.inf
-    log_beta = math.log(beta) if beta > 0.0 else -math.inf
-    first = int(t0.min())
-    # rows overflowing after `first` run along from there and are reset
-    # to their own start at t0 - 1
-    restart = {}
-    for i in np.flatnonzero(t0 > first):
-        restart.setdefault(int(t0[i]) - 1, []).append(i)
-    lp = start
-    for a in range(first, eps.shape[1], BLOCK):
-        b = min(a + BLOCK, eps.shape[1])
-        e2 = np.ascontiguousarray(eps[rows, a - 1:b - 1].T)
-        e2 *= e2
-        with np.errstate(divide="ignore"):
-            block = np.logaddexp(log_alpha + np.log(e2), log_beta)
-        for t, cur in enumerate(block, start=a):
-            cur += lp
-            np.logaddexp(log_omega, cur, out=cur)
-            if t in restart:
-                cur[restart[t]] = start[restart[t]]
-            lp = cur
-        m = np.flatnonzero((cols >= a) & (cols < b))
-        sub = np.ix_(rows, m)
-        log_sigma_sq[sub] = np.where(cols[m] >= t0[:, None],
-                                     block[cols[m] - a].T, log_sigma_sq[sub])
-    return sigma_sq, log_sigma_sq, overflow_at
+    def __init__(self, reps: int, n: int, omega: float, alpha: float,
+                 beta: float, sigma0_sq: float,
+                 keep: Optional[Sequence[int]] = None):
+        self.n = n
+        self.params = float(omega), float(alpha), float(beta), \
+            float(sigma0_sq)
+        # keeping every index, a block's kept entries are slices
+        self.every = keep is None
+        self.cols = cols = (np.arange(n + 1) if keep is None
+                            else np.asarray(keep, dtype=np.intp))
+        if cols.size and not 0 <= cols.min() <= cols.max() <= n:
+            raise ValueError(f"keep must lie in [0, {n}]")
+        self.sigma_sq = np.empty((reps, len(cols)))
+        self.log_sigma_sq = np.empty((reps, len(cols)))
+        at0 = np.flatnonzero(cols == 0)
+        self.sigma_sq[:, at0] = sigma0_sq
+        self.log_sigma_sq[:, at0] = math.log(sigma0_sq)
+        self.overflow_at = np.full(reps, -1, dtype=np.int64)
+        self.prev = np.full(reps, float(sigma0_sq))  # at the last step
+        self.last_finite = np.empty(reps)  # sigma_sq at overflow_at - 1
+        self.log_prev = np.empty(reps)     # at the last step, if overflowed
+
+    def advance(self, eps: np.ndarray, a: int,
+                fill: Optional[Callable[[slice], object]] = None) -> None:
+        """Take steps a+1, ..., a+m of every row (none past n) from the
+        innovations eps_a, ..., eps_{a+m-1}: eps has shape (reps, m).
+        With ``fill``, each row block first calls fill(rows) in its own
+        thread to write its rows of eps."""
+        m = min(eps.shape[1], self.n - a)
+
+        def run(rows):
+            if fill is not None:
+                fill(rows)
+            if m > 0:
+                self._advance_rows(eps[rows, :m], a, rows)
+
+        reps = len(self.prev)
+        map_row_blocks(run, reps, kernel_block_rows(reps))
+
+    def _advance_rows(self, eps, a, rows):
+        # slices of the state arrays are views: a row block writes its own
+        prev, overflow_at, last_finite, sigma_sq, log_sigma_sq, log_prev = (
+            x[rows] for x in (self.prev, self.overflow_at, self.last_finite,
+                              self.sigma_sq, self.log_sigma_sq,
+                              self.log_prev))
+        linear = self._linear_row if len(eps) == 1 else self._linear_rows
+        linear(eps, a, prev, overflow_at, last_finite, sigma_sq, log_sigma_sq)
+        self._log_space(eps, a, log_prev, overflow_at, last_finite,
+                        log_sigma_sq)
+
+    def _keep(self, lo, hi):
+        """(positions in keep, offsets from lo) of the kept time indices
+        in [lo, hi): slices when every index is kept."""
+        if self.every:
+            return slice(lo, hi), slice(0, hi - lo)
+        k = np.flatnonzero((self.cols >= lo) & (self.cols < hi))
+        return k, self.cols[k] - lo
+
+    def _linear_rows(self, eps, a, prev, overflow_at, last_finite, sigma_sq,
+                     log_sigma_sq):
+        omega, alpha, beta, _ = self.params
+        m = eps.shape[1]
+        factors = np.empty((min(BLOCK, m), len(eps)))
+        for j in range(0, m, BLOCK):
+            t = a + 1 + j   # the step of the sub-block's first row
+            block = factors[:min(BLOCK, m - j)]
+            np.copyto(block, eps[:, j:j + len(block)].T)
+            # overflow to inf (and 0 * inf = nan) is expected on explosive
+            # paths; the log-space pass carries the exact value onward
+            with np.errstate(over="ignore", invalid="ignore"):
+                block *= block
+                block *= alpha
+                block += beta
+                row = prev
+                for cur in block:
+                    cur *= row
+                    cur += omega
+                    row = cur
+            # a non-finite sigma^2 stays non-finite, so the sub-block's
+            # last row shows every overflow
+            newly = ~np.isfinite(block[-1]) & (overflow_at < 0)
+            if newly.any():
+                rows = np.flatnonzero(newly)
+                i = np.isfinite(block[:, rows]).argmin(axis=0)
+                overflow_at[rows] = t + i
+                last_finite[rows] = np.where(i > 0, block[i - 1, rows],
+                                             prev[rows])
+            k, j = self._keep(t, t + len(block))
+            kept = block[j].T
+            sigma_sq[:, k] = kept
+            log_sigma_sq[:, k] = np.log(kept)  # inf/nan: see _log_space
+            prev[:] = block[-1]
+
+    def _linear_row(self, eps, a, prev, overflow_at, last_finite, sigma_sq,
+                    log_sigma_sq):
+        """_linear_rows for one row, bit for bit: a Python-float loop
+        through memoryviews (inf and nan propagate as in numpy)."""
+        omega, alpha, beta, _ = self.params
+        track = np.empty(eps.shape[1])   # sigma_sq at steps a+1, ...
+        out = memoryview(track)
+        cur = float(prev[0])
+        for j, e in enumerate(memoryview(eps[0])):
+            cur = omega + (alpha * (e * e) + beta) * cur
+            out[j] = cur
+        finite = np.isfinite(track)
+        if overflow_at[0] < 0 and not finite.all():
+            i = int(np.argmin(finite))
+            overflow_at[0] = a + 1 + i
+            last_finite[0] = track[i - 1] if i else prev[0]
+        k, j = self._keep(a + 1, a + 1 + len(track))
+        kept = track[j]
+        sigma_sq[0, k] = kept
+        log_sigma_sq[0, k] = np.log(kept)
+        prev[0] = cur
+
+    def _log_space(self, eps, a, log_prev, overflow_at, last_finite,
+                   log_sigma_sq):
+        """The log track of steps a+1..a+m for the rows overflowed by step
+        a+m, from log_prev (rows overflowed before the block) or from the
+        log of last_finite at their first overflow t0."""
+        m = eps.shape[1]
+        sub = np.flatnonzero((overflow_at >= 0) & (overflow_at <= a + m))
+        if not sub.size:
+            return
+        omega, alpha, beta, sigma0_sq = self.params
+        t0 = overflow_at[sub]
+        lp = log_prev[sub]
+        new = np.flatnonzero(t0 > a)
+        lp[new] = np.log(last_finite[sub[new]])
+        lp[new[t0[new] == 1]] = math.log(sigma0_sq)
+        start = lp.copy()
+        first = max(a + 1, int(t0.min()))
+        # rows overflowing after `first` run along from there and are
+        # reset to their own start at t0 - 1
+        restart = {}
+        for i in np.flatnonzero(t0 > first):
+            restart.setdefault(int(t0[i]) - 1, []).append(i)
+        log_omega = math.log(omega)
+        log_alpha = math.log(alpha) if alpha > 0.0 else -math.inf
+        log_beta = math.log(beta) if beta > 0.0 else -math.inf
+        for s in range(first, a + m + 1, BLOCK):
+            e = min(s + BLOCK, a + m + 1)
+            e2 = np.ascontiguousarray(eps[sub, s - 1 - a:e - 1 - a].T)
+            e2 *= e2
+            with np.errstate(divide="ignore"):
+                block = np.logaddexp(log_alpha + np.log(e2), log_beta)
+            for t, cur in enumerate(block, start=s):
+                cur += lp
+                np.logaddexp(log_omega, cur, out=cur)
+                if t in restart:
+                    cur[restart[t]] = start[restart[t]]
+                lp = cur
+            k, j = self._keep(s, e)
+            at = np.ix_(sub, np.arange(len(self.cols))[k])
+            log_sigma_sq[at] = np.where(self.cols[k] >= t0[:, None],
+                                        block[j].T, log_sigma_sq[at])
+        log_prev[sub] = lp
 
 
 def recursion_batch(eps: np.ndarray, omega: float, alpha: float, beta: float,
@@ -211,21 +298,7 @@ def recursion_batch(eps: np.ndarray, omega: float, alpha: float, beta: float,
     non-finite sigma_sq, or -1.
     """
     eps = np.ascontiguousarray(eps, dtype=np.float64)
-    n1 = eps.shape[1]
-    cols = np.arange(n1) if keep is None else np.asarray(keep, dtype=np.intp)
-    if cols.size and not 0 <= cols.min() <= cols.max() < n1:
-        raise ValueError(f"keep must lie in [0, {n1 - 1}]")
-    args = float(omega), float(alpha), float(beta), float(sigma0_sq), cols
-
-    def run(rows):
-        block = eps[rows]
-        kernel = (_recursion_row_py if block.shape[0] == 1
-                  else _recursion_blocked_py)
-        return kernel(block, *args)
-
-    reps = eps.shape[0]
-    blocks = max(1, min(WORKERS, reps // KERNEL_MIN_ROWS))
-    parts = map_row_blocks(run, reps, max(1, -(-reps // blocks)))
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(track) for track in zip(*parts))
+    reps, n1 = eps.shape
+    rec = Recursion(reps, n1 - 1, omega, alpha, beta, sigma0_sq, keep)
+    rec.advance(eps, 0)
+    return rec.sigma_sq, rec.log_sigma_sq, rec.overflow_at

@@ -115,9 +115,11 @@ class TestVerify:
                                                 monkeypatch, chunk_rows):
         # only replication 37 cancels at k = 800; the chunk's batch
         # raises, and the message names the checkpoint and that
-        # replication, also when it lies in a later chunk
+        # replication, also when it lies in a later chunk (a verify chunk
+        # holds CHUNK // TIME_BLOCK rows)
         if chunk_rows is not None:
-            monkeypatch.setattr(harness, "CHUNK", chunk_rows * 2001)
+            monkeypatch.setattr(harness, "CHUNK",
+                                chunk_rows * harness.TIME_BLOCK)
         cfg = write_config(tmp_path / "c.json", n=2000, reps=200, seed=7)
         doc = json.loads(cfg.read_text())
         params = realize_params(LocalizationScheme.from_config(doc["scheme"]),
@@ -236,6 +238,17 @@ class TestDiagnose:
                      "--out", str(tmp_path)]) == 2
 
 
+    def test_run_too_large_for_memory_exit_2(self, tmp_path, capsys):
+        # the (1, 8e14) diagnostics window (6.4e15 bytes) exceeds any
+        # address space, so numpy refuses it without touching memory
+        cfg = write_config(tmp_path / "c.json", n=10 ** 15, reps=2)
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "error: out of memory" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweep:
     def test_sweep_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", c_gamma=1.0, kappa=0.6,
@@ -300,8 +313,10 @@ class TestMalformedConfig:
                                b=math.sqrt(1.75), w=0.5), []),
         ("sweep", lambda doc: {**doc, "sweep": {"n_grid": 5}}, []),
         ("verify", _set("run", "tests", [["vol_gof"]]), []),
+        ("verify", _set("run", "tests", "vol_gof"), []),
     ], ids=["document-list", "run-list", "c_gamma-string", "df-string",
-            "mixture-a-string", "n_grid-int", "tests-nested-list"])
+            "mixture-a-string", "n_grid-int", "tests-nested-list",
+            "tests-string"])
     def test_exit_2(self, tmp_path, capsys, command, edit, flags):
         cfg = write_config(tmp_path / "c.json", n=400, reps=120)
         cfg.write_text(json.dumps(edit(json.loads(cfg.read_text()))))
@@ -310,6 +325,17 @@ class TestMalformedConfig:
                     + flags) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_tests_string_is_named(self, tmp_path, capsys):
+        # a string is not split into one-letter test names
+        cfg = write_config(tmp_path / "c.json", n=400, reps=120)
+        cfg.write_text(json.dumps(
+            _set("run", "tests", "vol_gof")(json.loads(cfg.read_text()))))
+        assert main(["verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "run.tests must be a list" in err and "'v'" not in err
 
 
 def test_verify_imports_neither_scipy_nor_concurrent_futures(tmp_path):
@@ -322,11 +348,36 @@ def test_verify_imports_neither_scipy_nor_concurrent_futures(tmp_path):
               f"'--out', {str(tmp_path / 'out')!r}]); "
               "print(rc, sorted(m for m in ('scipy', 'concurrent.futures') "
               "if m in sys.modules))")
+    rc, imported = _run_child(script).split(" ", 1)
+    assert rc in ("0", "1") and imported == "[]"
+
+
+def _run_child(script: str) -> str:
+    """The last stdout line of `script` run in a fresh interpreter that
+    imports this mdgarch."""
     src = os.path.dirname(os.path.dirname(mdgarch.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    rc, imported = done.stdout.splitlines()[-1].split(" ", 1)
-    assert rc in ("0", "1") and imported == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_verify_peak_memory_does_not_grow_with_n(tmp_path):
+    # the innovations stream through the kernel in time blocks: holding
+    # all of them would take 160 MB at n = 20000 x 1000 reps, and the
+    # whole run peaks near 48 MB on a 2-vCPU Linux host.  Linux carries a
+    # process's peak RSS across fork and exec into its child's ru_maxrss,
+    # so the run is the child of a small launcher, not of this process
+    cfg = write_config(tmp_path / "c.json", n=20000, reps=1000)
+    argv = [sys.executable, "-m", "mdgarch.cli", "verify", "--config",
+            str(cfg), "--out", str(tmp_path / "out")]
+    script = ("import resource, subprocess; "
+              f"rc = subprocess.run({argv!r}, "
+              "stdout=subprocess.DEVNULL).returncode; "
+              "print(rc, resource.getrusage("
+              "resource.RUSAGE_CHILDREN).ru_maxrss)")
+    rc, maxrss_kb = _run_child(script).split()
+    assert rc in ("0", "1")
+    assert int(maxrss_kb) < 110 * 1024

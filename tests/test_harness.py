@@ -8,10 +8,12 @@ import pytest
 from mdgarch import harness, kernels
 from mdgarch.gof import DEFAULT_LEVEL
 from mdgarch.harness import (ConfigurationError, McConfig, McReport,
-                             independence_threshold, run_experiment,
-                             run_n_sweep, sweep_verdict, validate_config)
-from mdgarch.innovations import InnovationSpec
-from mdgarch.localization import LocalizationScheme
+                             diag_checkpoint, independence_threshold,
+                             run_experiment, run_n_sweep, sweep_verdict,
+                             validate_config)
+from mdgarch.innovations import InnovationSpec, RngStream
+from mdgarch.kernels import recursion_batch
+from mdgarch.localization import LocalizationScheme, realize_params
 from mdgarch.simulate import CLASSICAL, LITERAL, MODES
 from mdgarch.stats import CheckpointGrid
 
@@ -245,11 +247,12 @@ class TestWorkerCount:
         real = getattr(harness, where)
 
         def failing(*args, **kwargs):
-            # the last replication (sampling), or the first diagnostic
-            # block a worker thread takes; the calling thread holds its
-            # own block until then, so a worker thread takes one
+            # the last replication's first time block (sampling: its
+            # generator still stands at the stream's start), or the first
+            # diagnostic block a worker thread takes; the calling thread
+            # holds its own block until then, so a worker thread takes one
             if where == "sample_innovations":
-                fail = args[2].stream_index == 49
+                fail = args[2].bit_generator.state == last_stream_start
             elif threading.current_thread() is main:
                 worker_failed.wait(10)
                 fail = False
@@ -261,6 +264,7 @@ class TestWorkerCount:
             return real(*args, **kwargs)
 
         worker_failed = threading.Event()
+        last_stream_start = RngStream(7, 49).generator().bit_generator.state
 
         main = threading.current_thread()
         monkeypatch.setattr(kernels, "WORKERS", 3)
@@ -281,11 +285,56 @@ def test_chunk_size_leaves_reports_unchanged(monkeypatch, regime, mode,
                                              tests):
     config = ns_config(scheme=REGIME_SCHEMES[regime], n=400, reps=120,
                        mode=mode, tests=tests)
-    assert harness.CHUNK // (config.n + 1) >= config.reps
+    # a chunk's rows hold CHUNK innovations in the diagnostics window, or
+    # else in the time-block buffer
+    width = (diag_checkpoint(config.n) if tests is not McConfig.tests
+             else harness.TIME_BLOCK)
+    assert harness.CHUNK // width >= config.reps
     want = report_bytes(config)
     for rows in (1, 7, 50):
-        monkeypatch.setattr(harness, "CHUNK", rows * (config.n + 1))
+        monkeypatch.setattr(harness, "CHUNK", rows * width)
         assert report_bytes(config) == want
+
+
+# sigma^2 overflows between t = 1403 and 1410 at n = 2000 (seed 7)
+OVERFLOW_NE = ns_scheme(c_gamma=3.0, kappa=0.2)
+
+
+@pytest.mark.parametrize("scheme,mode,tests,n", [
+    (REGIME_SCHEMES["NS"], CLASSICAL, McConfig.tests, 400),
+    (REGIME_SCHEMES["INT"], CLASSICAL, McConfig.tests, 400),
+    (REGIME_SCHEMES["NE"], CLASSICAL, McConfig.tests, 400),
+    (REGIME_SCHEMES["NE"], LITERAL, DIAGNOSTICS["NE"], 400),
+    (REGIME_SCHEMES["NS"], CLASSICAL, DIAGNOSTICS["NS"], 400),
+    (OVERFLOW_NE, CLASSICAL, (), 2000)],
+    ids=["NS-verify", "INT-verify", "NE-verify", "NE-literal-diagnose",
+         "NS-classical-diagnose", "NE-overflow"])
+def test_time_block_leaves_reports_unchanged(monkeypatch, scheme, mode,
+                                             tests, n):
+    # 300 columns is a multiple of neither the kernel's BLOCK nor k_diag
+    # (320 at n = 400).  The diagnostics window [0, k_diag) is drawn as
+    # one block, so the overflowing scheme runs without diagnostics; its
+    # classical return statistic at k = 1600 (about e^-122) reads the
+    # log-space track to the last bit
+    config = ns_config(scheme=scheme, n=n, reps=120 if n == 400 else 40,
+                       mode=mode, tests=tests)
+    want = report_bytes(config)
+    for cols in (1, 7, 300):
+        monkeypatch.setattr(harness, "TIME_BLOCK", cols)
+        assert report_bytes(config) == want
+
+
+def test_overflow_scheme_overflows_across_time_blocks():
+    # the rows of OVERFLOW_NE first overflow in different 7-column blocks
+    # and inside (not at either end of) a 300- or 1024-column block
+    params = realize_params(OVERFLOW_NE, 2000)
+    eps = np.stack([RngStream(7, i).generator().standard_normal(2001)
+                    for i in range(40)])
+    t0 = recursion_batch(eps, params.omega, params.alpha_n, params.beta_n,
+                         params.sigma0_sq, keep=[0])[2]
+    assert (t0 > 0).all() and len({(t - 1) // 7 for t in t0}) > 1
+    for cols in (300, harness.TIME_BLOCK):
+        assert all(0 < (t - 1) % cols < cols - 1 for t in t0)
 
 
 class TestSweep:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from mdgarch.innovations import (InnovationSpec, InvalidInnovationSpec,
                                  RngStream, fourth_moment, innovation_cdf,
-                                 sample_innovations, validate_spec,
-                                 xi_second_moment)
+                                 sample_innovations, stream_generators,
+                                 validate_spec, xi_second_moment)
 
 NORMAL = InnovationSpec(kind="standard-normal")
 T8 = InnovationSpec(kind="student-t-normalized", df=8.0)
@@ -132,6 +132,59 @@ class TestSampling:
             with pytest.raises(ValueError):
                 sample_innovations(spec, 1001, RngStream(3, 4),
                                    out=np.empty(shape))
+
+
+    @pytest.mark.parametrize("spec", [NORMAL, T8, TWO_POINT],
+                             ids=["normal", "t8", "two-point"])
+    def test_blocks_from_a_live_generator_equal_one_call(self, spec):
+        # the harness draws each replication's stream in time blocks
+        count = 3000
+        want = sample_innovations(spec, count, RngStream(3, 4))
+        rng = RngStream(3, 4).generator()
+        got = np.empty(count)
+        a = 0
+        for size in (1, 7, 1024, count - 1032):
+            sample_innovations(spec, size, rng, out=got[a:a + size])
+            a += size
+        assert got.tobytes() == want.tobytes()
+
+
+class TestStreamGenerators:
+    """stream_generators equals RngStream.generator, stream by stream."""
+
+    @pytest.mark.parametrize("seed", [0, 20260823, 2 ** 32 + 5, 2 ** 70 + 3])
+    @pytest.mark.parametrize("first", [0, 1000, 2 ** 32, 2 ** 32 + 1])
+    def test_equal_state_and_draws(self, seed, first):
+        gens = stream_generators(seed, first, 5)
+        assert len(gens) == 5
+        for i, gen in enumerate(gens):
+            ref = RngStream(seed, first + i).generator()
+            assert gen.bit_generator.state == ref.bit_generator.state
+            assert gen.standard_normal(8).tobytes() \
+                == ref.standard_normal(8).tobytes()
+
+    @pytest.mark.parametrize("first", [2 ** 32 - 3, 2 ** 64 - 2])
+    def test_range_across_a_word_boundary(self, first):
+        # the index takes one more 32-bit word (or carries into the
+        # upper word) inside the range
+        for i, gen in enumerate(stream_generators(11, first, 6)):
+            ref = RngStream(11, first + i).generator()
+            assert gen.bit_generator.state == ref.bit_generator.state
+
+    def test_many_streams(self):
+        gens = stream_generators(7, 0, 300)
+        draws = [g.random() for g in gens]
+        assert draws == [RngStream(7, i).generator().random()
+                         for i in range(300)]
+        assert stream_generators(7, 10, 0) == []
+
+    @pytest.mark.parametrize("seed,first", [(-1, 0), (-2 ** 40, 3), (1, -1)])
+    def test_negative_seed_or_index_raises(self, seed, first):
+        with pytest.raises(ValueError):
+            stream_generators(seed, first, 3)
+        if seed < 0:   # as SeedSequence does
+            with pytest.raises(ValueError):
+                RngStream(seed, first).generator()
 
 
 class TestCdf:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from mdgarch import kernels
 from mdgarch.innovations import InnovationSpec, RngStream
-from mdgarch.kernels import BLOCK, map_row_blocks, recursion_batch
+from mdgarch.kernels import (BLOCK, Recursion, map_row_blocks,
+                             recursion_batch)
 from mdgarch.localization import (GarchParams, LocalizationScheme,
                                   realize_params)
 from mdgarch.simulate import (CLASSICAL, LITERAL, decompose_volatility,
@@ -235,6 +236,38 @@ class TestKernels:
                 out = recursion_batch(rows, 1.0, 100.0, 0.0, 1.0,
                                       keep=[0, 1500, 3000])
                 assert (out[2] >= 0).all() and np.isnan(out[0]).any()
+
+    @pytest.mark.parametrize("keep", [None, "some"])
+    @pytest.mark.parametrize("reps", [1, 5])
+    @pytest.mark.parametrize("sizes", [[1], [7], [300], [BLOCK + 3, 1, 2]],
+                             ids=["1", "7", "300", "mixed"])
+    def test_stepper_fed_in_time_blocks(self, reps, sizes, keep):
+        # recursion_batch is Recursion.advance over one block; feeding the
+        # same innovations in blocks of other sizes (cycled) changes no
+        # bit.  Rows overflow in the first block, mid-block, at a block's
+        # first and last step and past the last block boundary; zeros
+        # past the spikes give 0 * inf = nan
+        n = 3 * BLOCK + 7
+        eps = RngStream(7, 8).generator().standard_normal((reps, n + 1))
+        spikes = (5, 301, 300, BLOCK + 7, n - 1)
+        for r in range(reps):
+            t = spikes[(r + len(sizes)) % len(spikes)]
+            eps[r, t - 1] = 1e154
+            eps[r, t::3] = 0.0
+        if keep == "some":
+            keep = [0, 1, 5, 299, 300, 301, BLOCK, 2 * BLOCK + 1, n - 1, n]
+        want = recursion_batch(eps, 1.0, 2.0, 0.0, 1.0, keep=keep)
+        assert (want[2] >= 0).all()
+        rec = Recursion(reps, n, 1.0, 2.0, 0.0, 1.0, keep)
+        a, i = 0, 0
+        while a <= n:
+            size = sizes[i % len(sizes)]
+            # the last block holds eps_n, which no step reads
+            rec.advance(np.ascontiguousarray(eps[:, a:a + size]), a)
+            a, i = a + size, i + 1
+        got = rec.sigma_sq, rec.log_sigma_sq, rec.overflow_at
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
 
     def test_keep_out_of_range(self):
         eps = np.zeros((2, 11))
