@@ -7,28 +7,28 @@ order and hence of any scheduling.
 
 Replications run in chunks of rows.  A chunk keeps one generator per
 replication and streams its innovations through the kernel in time
-blocks of ``TIME_BLOCK`` columns: each block is drawn into one reused
-(rows, TIME_BLOCK) buffer and advances the recursion's state
-(``kernels.Recursion``), and only the checkpoint columns (sigma^2, log
-sigma^2 and eps_k) are kept.  When path diagnostics are requested, the
-innovations of the window [0, k_diag) that they read are drawn straight
-into a (rows, k_diag) array instead, as one time block.  Memory thus
-scales with rows x TIME_BLOCK (plus rows x k_diag for the diagnostics),
-not with rows x n.
+blocks: each block is drawn into one reused (rows, columns) buffer and
+advances the recursion's state (``kernels.Recursion``), and only the
+checkpoint columns (sigma^2, log sigma^2 and eps_k) are kept.  A block
+has at least ``TIME_BLOCK`` columns, more in chunks of few rows.  When
+path diagnostics are requested, the window [0, k_diag) of innovations
+that they read is the first time block, and the diagnostics run on it
+before the later blocks reuse its memory.  Memory thus scales with the
+rows times the block or window width, not with rows x n.
 
-Sampling (a slice of a time block's rows per block, or each kernel row
-block's own rows in its thread), the kernel and the path diagnostics
-(one diagnostic block each) run over row blocks of a chunk, shared by as
-many threads as the CPUs the process may use (``kernels.map_row_blocks``);
-each replication is computed the same way in any row block, time block
-and thread, so the report bytes depend on neither the worker count nor
-the block sizes.
+Sampling (a slice of a time block's rows each), the kernel and the path
+diagnostics (one diagnostic block each) run over row blocks of a chunk,
+shared by as many threads as the CPUs the process may use
+(``kernels.map_row_blocks``); each replication is computed the same way
+in any row block, time block and thread, so the report bytes depend on
+neither the worker count nor the block sizes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -38,7 +38,7 @@ from . import gof, limits
 from .innovations import (InnovationSpec, RngStream, innovation_cdf,
                           sample_innovations, stream_generators,
                           validate_spec, xi_second_moment)
-from .kernels import Recursion, kernel_block_rows, map_row_blocks
+from .kernels import Recursion, map_row_blocks
 from .localization import (GarchParams, LocalizationScheme, Regime,
                            classify_regime, realize_params)
 from .simulate import (CLASSICAL, LITERAL, MODES, DecompositionReport,
@@ -58,14 +58,19 @@ DIAG_FRACTION = 0.8
 # temporaries hold about this many doubles (256 KiB) each
 DIAG_BLOCK = 2 ** 15
 # a chunk holds at most this many innovations (320 MB) at once, in its
-# diagnostics window (rows x k_diag) or else in its time-block buffer
-# (rows x TIME_BLOCK); that bounds the rows per chunk
+# diagnostics window (rows x k_diag) or else in a time block of
+# TIME_BLOCK columns; that bounds the rows per chunk
 CHUNK = 4 * 10 ** 7
-# innovation columns drawn and stepped per time block.  Drawing a block
-# costs a GIL-held call per replication: two sampling threads drew
-# 2000 x 5001 innovations in 0.18 s in blocks of 1024 columns and in
-# 0.46 s in blocks of 512 (2-vCPU host)
+# innovation columns drawn and stepped per time block: at least
+# TIME_BLOCK, and about BLOCK_DRAWS innovations (16 MB) in chunks of
+# fewer than BLOCK_DRAWS // TIME_BLOCK rows.  Drawing a block costs a
+# GIL-held call per replication: two sampling threads drew 2000 x 5001
+# innovations in 0.18 s in blocks of 1024 columns and in 0.46 s in
+# blocks of 512, and run_experiment at n = 1e5 x 500 rows without path
+# diagnostics took 2.41 s in blocks of 1024 columns against 2.03 s in
+# blocks of 4096 (2-vCPU host)
 TIME_BLOCK = 1024
+BLOCK_DRAWS = 2 * 10 ** 6
 # sampling threads take a time block's rows in slices of about this many
 # innovations; one row at a time, the two threads queued on the slice
 # lock and the GIL (0.18 s against 0.16 s for slices of 16 rows)
@@ -324,26 +329,21 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
         rec = Recursion(rows, n, params.omega, params.alpha_n, params.beta_n,
                         params.sigma0_sq, ks)
         eps_k = np.empty((rows, len(ks)))
-        # the window and the time-block buffer share one allocation: a
-        # buffer of a few MB freed on its own raises glibc's mmap
-        # threshold, after which the heap kept 30 MB more across passes
-        # of the sweep-long benchmark
-        held = _row_array(rows, k_window + min(TIME_BLOCK, n + 1 - k_window))
-        window, buffer = held[:, :k_window], held[:, k_window:]
-        # the diagnostics window is one time block: one draw per row
-        starts = list(range(k_window, n + 1, TIME_BLOCK))
+        width = max(TIME_BLOCK, BLOCK_DRAWS // rows)
+        # the diagnostics window [0, k_window) is the first time block;
+        # the later blocks reuse its allocation
+        held = _row_array(rows, max(k_window, min(width, n + 1 - k_window)))
+        window = held[:, :k_window]
+        starts = list(range(k_window, n + 1, width))
         for a in [0] + starts if k_window else starts:
-            block = (window if a < k_window
-                     else buffer[:, :min(TIME_BLOCK, n + 1 - a)])
-            if kernel_block_rows(rows) < rows:
-                # each kernel row block draws its own rows in its thread
-                rec.advance(block, a, fill=draw)
-            else:
-                map_row_blocks(draw, rows,
-                               max(1, DRAW_SLICE // block.shape[1]))
-                rec.advance(block, a)
+            block = held[:, :k_window if a < k_window
+                         else min(width, n + 1 - a)]
+            map_row_blocks(draw, rows, max(1, DRAW_SLICE // block.shape[1]))
+            rec.advance(block, a)
             m = np.flatnonzero((cols >= a) & (cols < a + block.shape[1]))
             eps_k[:, m] = block[:, cols[m] - a]
+            if a < k_window:
+                map_row_blocks(diagnose, rows, diag_rows)
         out = slice(start, start + rows)
         for m, k in enumerate(ks):
             try:
@@ -358,9 +358,7 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
                         where += f", replication {start + i}"
                         break
                 raise CancellationError(f"{where}: {exc}") from exc
-        if need_paths:
-            map_row_blocks(diagnose, rows, diag_rows)
-        del held, window, buffer, block
+        del held, window, block
     if vol_shift != 0.0:
         vol = vol + vol_shift
 
@@ -406,12 +404,22 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
 
 
 def _row_array(rows: int, cols: int) -> np.ndarray:
-    """An uninitialized (rows, cols) view whose row stride is an odd
-    number of 64-byte cache lines.  The kernel reads a time block down
-    its columns; with a row stride of TIME_BLOCK doubles, a power of two,
-    every row of a column falls in the same cache set, and stepping
-    2000 x 5000 innovations through 1024-column blocks took 1.6x as long."""
-    return np.empty((rows, 8 * (-(-cols // 8) | 1)))[:, :cols]
+    """A zeroed (rows, cols) view whose row stride is an odd number of
+    64-byte cache lines, in its own anonymous memory map.
+
+    The kernel reads a time block down its columns; with a row stride of
+    TIME_BLOCK doubles, a power of two, every row of a column falls in
+    the same cache set, and stepping 2000 x 5000 innovations through
+    1024-column blocks took 1.6x as long.  The map bypasses malloc:
+    glibc raises its mmap threshold to the size of any mapped block it
+    frees (up to 32 MiB), and with a 32 MB diagnostics window freed that
+    way the heap then kept about 27 MB more across sweep-long passes."""
+    stride = 8 * (-(-cols // 8) | 1)
+    try:
+        buf = mmap.mmap(-1, 8 * rows * stride)
+    except OSError as exc:
+        raise MemoryError(f"cannot map a ({rows}, {cols}) array") from exc
+    return np.frombuffer(buf).reshape(rows, stride)[:, :cols]
 
 
 def _gof_entry(res: gof.GofResult, k: int) -> dict:

@@ -23,12 +23,11 @@ overflowed, from their first overflow on.
 Rows are independent, so ``advance`` splits a batch into at most
 ``WORKERS`` contiguous row blocks of at least ``KERNEL_MIN_ROWS`` rows
 and runs them in up to ``WORKERS`` threads (``map_row_blocks``); numpy's
-loops release the GIL, so the blocks overlap on separate cores.  A
-caller may pass a ``fill`` that writes each row block's innovations in
-that block's thread just before its steps.  ``WORKERS`` is the number
-of CPUs this process may run on; it is not an option.  Each row's
-arithmetic is the same whichever row block and time block it lands in,
-so the outputs depend on neither the worker count nor the time blocks.
+loops release the GIL, so the blocks overlap on separate cores.
+``WORKERS`` is the number of CPUs this process may run on; it is not an
+option.  Each row's arithmetic is the same whichever row block and time
+block it lands in, so the outputs depend on neither the worker count nor
+the time blocks.
 
 Contract: on all three outputs (linear track, log track, overflow
 index) ``recursion_batch`` is bit-identical to the step-by-step loop
@@ -108,13 +107,6 @@ def map_row_blocks(fn: Callable[[slice], object], rows: int,
     return results
 
 
-def kernel_block_rows(reps: int) -> int:
-    """Rows per kernel row block: at most WORKERS blocks, each of at
-    least KERNEL_MIN_ROWS rows unless the batch has fewer."""
-    blocks = max(1, min(WORKERS, reps // KERNEL_MIN_ROWS))
-    return max(1, -(-reps // blocks))
-
-
 class Recursion:
     """The recursion's state for a batch of ``reps`` rows over time
     indices 0..n, keeping both tracks at the time indices ``keep`` (all
@@ -150,22 +142,16 @@ class Recursion:
         self.last_finite = np.empty(reps)  # sigma_sq at overflow_at - 1
         self.log_prev = np.empty(reps)     # at the last step, if overflowed
 
-    def advance(self, eps: np.ndarray, a: int,
-                fill: Optional[Callable[[slice], object]] = None) -> None:
+    def advance(self, eps: np.ndarray, a: int) -> None:
         """Take steps a+1, ..., a+m of every row (none past n) from the
-        innovations eps_a, ..., eps_{a+m-1}: eps has shape (reps, m).
-        With ``fill``, each row block first calls fill(rows) in its own
-        thread to write its rows of eps."""
+        innovations eps_a, ..., eps_{a+m-1}: eps has shape (reps, m)."""
         m = min(eps.shape[1], self.n - a)
-
-        def run(rows):
-            if fill is not None:
-                fill(rows)
-            if m > 0:
-                self._advance_rows(eps[rows, :m], a, rows)
-
+        if m <= 0:
+            return
         reps = len(self.prev)
-        map_row_blocks(run, reps, kernel_block_rows(reps))
+        blocks = max(1, min(WORKERS, reps // KERNEL_MIN_ROWS))
+        map_row_blocks(lambda rows: self._advance_rows(eps[rows, :m], a, rows),
+                       reps, max(1, -(-reps // blocks)))
 
     def _advance_rows(self, eps, a, rows):
         # slices of the state arrays are views: a row block writes its own

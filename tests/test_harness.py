@@ -318,7 +318,9 @@ def test_time_block_leaves_reports_unchanged(monkeypatch, scheme, mode,
     # log-space track to the last bit
     config = ns_config(scheme=scheme, n=n, reps=120 if n == 400 else 40,
                        mode=mode, tests=tests)
+    # by default a chunk of so few rows runs the whole path as one block
     want = report_bytes(config)
+    monkeypatch.setattr(harness, "BLOCK_DRAWS", 0)
     for cols in (1, 7, 300):
         monkeypatch.setattr(harness, "TIME_BLOCK", cols)
         assert report_bytes(config) == want

@@ -133,7 +133,6 @@ class TestSampling:
                 sample_innovations(spec, 1001, RngStream(3, 4),
                                    out=np.empty(shape))
 
-
     @pytest.mark.parametrize("spec", [NORMAL, T8, TWO_POINT],
                              ids=["normal", "t8", "two-point"])
     def test_blocks_from_a_live_generator_equal_one_call(self, spec):
