@@ -2,10 +2,12 @@
 
 Subcommands: simulate, verify, diagnose, sweep.  Exit codes: 0 all
 enabled statistical tests pass, 1 a statistical test fails, 2 usage or
-configuration error, or a run too large for memory, 3 a statistic lost
-all its significant digits to cancellation (the message names the
-checkpoint k).  All numeric file output is printed with 17 significant
-digits and is byte-identical across reruns with the same master seed.
+configuration error, or a run too large for memory, 3 a numerical
+breakdown: a statistic lost all its significant digits to cancellation,
+or a classical decomposition component overflowed (the message names
+the checkpoint k and the first replication).  All numeric file output
+is printed with 17 significant digits and is byte-identical across
+reruns with the same master seed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .harness import (QQ_REF_STREAM, REGIMES, ConfigurationError, McConfig,
                       sweep_verdict, validate_config)
 from .innovations import RngStream
 from .localization import classify_regime
-from .simulate import CLASSICAL, LITERAL, export_path_csv, simulate_path
+from .simulate import (CLASSICAL, LITERAL, DecompositionOverflow,
+                       export_path_csv, simulate_path)
 from .stats import CancellationError
 
 EXIT_PASS = 0
@@ -243,6 +246,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     except CancellationError as exc:
         print(f"error: numerical cancellation: {exc}", file=sys.stderr)
+        return EXIT_CANCELLATION
+    except DecompositionOverflow as exc:
+        print(f"error: numerical overflow: {exc}", file=sys.stderr)
         return EXIT_CANCELLATION
 
 

@@ -10,11 +10,16 @@ replication and streams its innovations through the kernel in time
 blocks: each block is drawn into one reused (rows, columns) buffer and
 advances the recursion's state (``kernels.Recursion``), and only the
 checkpoint columns (sigma^2, log sigma^2 and eps_k) are kept.  A block
-has at least ``TIME_BLOCK`` columns, more in chunks of few rows.  When
-path diagnostics are requested, the window [0, k_diag) of innovations
-that they read is the first time block, and the diagnostics run on it
-before the later blocks reuse its memory.  Memory thus scales with the
-rows times the block or window width, not with rows x n.
+has at least ``TIME_BLOCK`` columns, more in chunks of few rows.
+
+The path diagnostics (lemma, tau, decomposition), which read the
+innovations [0, k_diag) of each replication, are a pass of their own
+before the kernel pass: they re-seed the chunk's generators and redraw
+[0, k_diag) for a block of ``DIAG_BLOCK // k_diag`` rows at a time into
+(rows, k_diag) arrays that each thread allocates once per run.  That
+costs k_diag more draws per replication and holds no (rows, k_diag)
+window, so memory scales with the rows times the block width, never
+with rows x n.
 
 Sampling (a slice of a time block's rows each), the kernel and the path
 diagnostics (one diagnostic block each) run over row blocks of a chunk,
@@ -41,8 +46,8 @@ from .innovations import (InnovationSpec, RngStream, innovation_cdf,
 from .kernels import Recursion, map_row_blocks
 from .localization import (GarchParams, LocalizationScheme, Regime,
                            classify_regime, realize_params)
-from .simulate import (CLASSICAL, LITERAL, MODES, DecompositionReport,
-                       decompose_rows)
+from .simulate import (CLASSICAL, LITERAL, MODES, DecompositionOverflow,
+                       DecompositionReport, decompose_rows)
 from .stats import (CancellationError, CheckpointGrid, checkpoint_returns,
                     int_return_stats, int_volatility_stats, lemma_rows,
                     ne_return_stats, ne_volatility_stats, ns_return_stats,
@@ -55,10 +60,11 @@ GOF_TESTS = frozenset({"vol_gof", "ret_gof"})
 # diagnostic checkpoint for lemma / remainder / tau sweeps
 DIAG_FRACTION = 0.8
 # the path diagnostics run over blocks of replications whose (rows, k)
-# temporaries hold about this many doubles (256 KiB) each
+# arrays (six per thread, reused from block to block: the redrawn
+# innovations, xi, its prefix sums and the decomposition's temporaries)
+# hold about this many doubles (256 KiB) each
 DIAG_BLOCK = 2 ** 15
-# a chunk holds at most this many innovations (320 MB) at once, in its
-# diagnostics window (rows x k_diag) or else in a time block of
+# a chunk's time block holds at most this many innovations (320 MB) at
 # TIME_BLOCK columns; that bounds the rows per chunk
 CHUNK = 4 * 10 ** 7
 # innovation columns drawn and stepped per time block: at least
@@ -286,6 +292,9 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
     tau_vals = np.empty(reps) if "tau_coupling" in config.tests else None
     decomps = [None] * reps if "remainders" in config.tests else None
     vol, ret = np.empty((reps, len(ks))), np.empty((reps, len(ks)))
+    # the diagnostics' (diag_rows, k_diag) arrays, one set per thread: a
+    # diagnostic block takes a free set or allocates one, and returns it
+    spare = []
 
     # the helpers below read the current chunk: replications start + i,
     # their generators, the current time block and the kept columns
@@ -301,12 +310,20 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
                                params, k, mode).value)
 
     def diagnose(rows):
-        """The path diagnostics of chunk rows `rows`."""
-        # xi_{k-1}, ..., xi_0, the only columns the diagnostics read, as
-        # one contiguous block, and its prefix sums, shared by all three
-        xi_rev = window[rows, ::-1] ** 2
+        """The path diagnostics of chunk rows `rows`, from their
+        innovations [0, k_diag) redrawn from the chunk's generators."""
+        try:
+            work = spare.pop()
+        except IndexError:
+            work = np.empty((6, diag_rows, k_diag))
+        eps, xi_rev, s, *temps = work[:, :rows.stop - rows.start]
+        for i, row in enumerate(eps, start=rows.start):
+            sample_innovations(config.innovation, k_diag, gens[i], out=row)
+        # xi_{k-1}, ..., xi_0 and its prefix sums, shared by all three
+        np.square(eps[:, ::-1], out=xi_rev)
         xi_rev -= 1.0
-        xi, s = xi_rev[:, ::-1], np.cumsum(xi_rev, axis=1)
+        xi = xi_rev[:, ::-1]
+        np.cumsum(xi_rev, axis=1, out=s)
         block = slice(start + rows.start, start + rows.stop)
         if lemma_vals is not None:
             lemma_vals[block] = lemma_rows(xi, params, k_diag, mode, s=s)
@@ -318,32 +335,34 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
             # Python's float power; numpy's x * x differs in last bits
             tau_vals[block] = [v ** 2 for v in gap.tolist()]
         if decomps is not None:
-            decomps[block] = decompose_rows(xi, params, k_diag, mode, s=s)
+            try:
+                # eps, spent once squared, is the fourth temporary
+                decomps[block] = decompose_rows(xi, params, k_diag, mode,
+                                                s=s, work=temps + [eps])
+            except DecompositionOverflow as exc:
+                raise DecompositionOverflow(
+                    k_diag, block.start + exc.row, "replication") from None
+        spare.append(work)
 
-    k_window = k_diag if need_paths else 0
-    chunk = max(1, CHUNK // (k_window or TIME_BLOCK))
+    chunk = max(1, CHUNK // TIME_BLOCK)
     cols = np.asarray(ks)
     for start in range(0, reps, chunk):
         rows = min(chunk, reps - start)
+        if need_paths:
+            gens = stream_generators(config.master_seed, start, rows)
+            map_row_blocks(diagnose, rows, diag_rows)
         gens = stream_generators(config.master_seed, start, rows)
         rec = Recursion(rows, n, params.omega, params.alpha_n, params.beta_n,
                         params.sigma0_sq, ks)
         eps_k = np.empty((rows, len(ks)))
         width = max(TIME_BLOCK, BLOCK_DRAWS // rows)
-        # the diagnostics window [0, k_window) is the first time block;
-        # the later blocks reuse its allocation
-        held = _row_array(rows, max(k_window, min(width, n + 1 - k_window)))
-        window = held[:, :k_window]
-        starts = list(range(k_window, n + 1, width))
-        for a in [0] + starts if k_window else starts:
-            block = held[:, :k_window if a < k_window
-                         else min(width, n + 1 - a)]
+        held = _row_array(rows, min(width, n + 1))
+        for a in range(0, n + 1, width):
+            block = held[:, :min(width, n + 1 - a)]
             map_row_blocks(draw, rows, max(1, DRAW_SLICE // block.shape[1]))
             rec.advance(block, a)
             m = np.flatnonzero((cols >= a) & (cols < a + block.shape[1]))
             eps_k[:, m] = block[:, cols[m] - a]
-            if a < k_window:
-                map_row_blocks(diagnose, rows, diag_rows)
         out = slice(start, start + rows)
         for m, k in enumerate(ks):
             try:
@@ -358,7 +377,7 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
                         where += f", replication {start + i}"
                         break
                 raise CancellationError(f"{where}: {exc}") from exc
-        del held, window, block
+        del held, block
     if vol_shift != 0.0:
         vol = vol + vol_shift
 
@@ -412,8 +431,8 @@ def _row_array(rows: int, cols: int) -> np.ndarray:
     the same cache set, and stepping 2000 x 5000 innovations through
     1024-column blocks took 1.6x as long.  The map bypasses malloc:
     glibc raises its mmap threshold to the size of any mapped block it
-    frees (up to 32 MiB), and with a 32 MB diagnostics window freed that
-    way the heap then kept about 27 MB more across sweep-long passes."""
+    frees (up to 32 MiB), and the heap then keeps blocks below that size
+    that it would have returned to the system."""
     stride = 8 * (-(-cols // 8) | 1)
     try:
         buf = mmap.mmap(-1, 8 * rows * stride)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import IO, List, Optional, Tuple
+from typing import IO, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,6 +108,19 @@ def _expm1_minus_x(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+class DecompositionOverflow(ArithmeticError):
+    """A classical decomposition component is not representable: the
+    first is sigma_0^2 times the product of the k factors, which
+    overflows on explosive rows.  `row` is the first such row."""
+
+    def __init__(self, k: int, row: int, what: str = "row"):
+        super().__init__(
+            f"classical decomposition overflows at k={k}, {what} {row}: a "
+            "component exceeds the float range; literal mode keeps the "
+            "components as log magnitudes")
+        self.k, self.row = k, row
+
+
 @dataclass
 class DecompositionReport:
     k: int
@@ -156,20 +169,26 @@ def _decompose_weights(g_eff: float, k: int) -> Tuple[np.ndarray, ...]:
     (j <= k-1), read-only; one set per run."""
     j = np.arange(1, k + 1, dtype=float)
     lil = np.maximum(np.log(np.log(j[2:])), 0.1) * j[2:]
-    ejg = np.exp(g_eff * j[:k - 1])
+    with np.errstate(over="ignore"):     # inf: see decompose_rows
+        ejg = np.exp(g_eff * j[:k - 1])
     for table in (j, lil, ejg):
         table.flags.writeable = False
     return j, lil, ejg
 
 
 def decompose_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
-                   s: Optional[np.ndarray] = None
+                   s: Optional[np.ndarray] = None,
+                   work: Optional[Sequence[np.ndarray]] = None
                    ) -> List[DecompositionReport]:
     """decompose_volatility of each row of a xi block (rows, m >= k).
 
     s, when given, is the reversed prefix sum
     np.cumsum(xi[:, k-1::-1], axis=1), shared with the other path
-    diagnostics; otherwise it is computed here.
+    diagnostics; otherwise it is computed here.  work, when given, is
+    four float arrays of shape (rows, k) that the temporaries are
+    written to, so that a caller can reuse them across blocks; otherwise
+    they are allocated here.  Raises DecompositionOverflow, naming the
+    first row, when a classical component is not finite.
     """
     alpha, gamma, omega = params.alpha_n, params.gamma_n, params.omega
     xi_rev = xi[:, k - 1::-1]            # xi_{k-1}, ..., xi_0
@@ -180,27 +199,26 @@ def decompose_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
     j, lil, ejg = _decompose_weights(g_eff, k)
 
     # four (rows, k) buffers, each reused through out= once spent (x, then
-    # R3; log(1+x), then R2; alpha S_j, then its base; one scratch): six
-    # live at the peak with the caller's xi block and s.  At k = 8e4 each
-    # holds 640 KB, and every fresh one glibc trims from its heap is
-    # page-faulted in again on the next row
-    x = np.multiply(xi_rev, alpha)
+    # R3; log(1+x), then R2; alpha S_j, then its base; one scratch).  At
+    # k = 8e4 each holds 640 KB, and every fresh one glibc trims from its
+    # heap is page-faulted in again on the next row: hence `work`
+    if work is None:
+        work = np.empty((4,) + xi_rev.shape)
+    x, a_s, log1p_x, scratch = work
+    np.multiply(xi_rev, alpha, out=x)
     x += gamma
     if root != 1.0:                      # dividing by 1.0 is exact
         x /= root
-    a_s = np.multiply(s, alpha / root)   # alpha S_j
+    np.multiply(s, alpha / root, out=a_s)   # alpha S_j
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        log1p_x = np.log1p(x)
+        np.log1p(x, out=log1p_x)
         # R3, the product-form log remainder: cumulative log(1+x) - x
         r3 = np.subtract(log1p_x, x, out=x)
         np.cumsum(r3, axis=1, out=r3)
     log_prod = np.cumsum(log1p_x, axis=1, out=log1p_x)[:, -1].copy()
     r2 = _expm1_minus_x(a_s, out=log1p_x)
-    # R1 from its exact identity: e^{-k g} prod - 1 - a S_k
-    r1 = np.expm1(log_prod - k * g_eff) - a_s[:, -1]
 
-    scratch = np.empty(x.shape)
     np.abs(r2, out=scratch)
     r2_max = np.max(scratch, axis=1)
     r2_lil_max = np.max(
@@ -209,19 +227,32 @@ def decompose_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
     r3_rel_max = np.max(np.divide(scratch, j, out=scratch), axis=1)
 
     # numpy's pairwise sum has a fixed order; np.dot's BLAS sum is split
-    # by thread count, so its last bits depend on the host
+    # by thread count, so its last bits depend on the host.  On explosive
+    # classical rows these overflow; the components are checked below
     block = scratch[:, :k - 1]
-    base = np.add(a_s[:, :k - 1], 1.0, out=a_s[:, :k - 1])
-    inner4 = np.add.reduce(np.multiply(base, ejg, out=block), axis=1)
-    inner3 = np.add.reduce(np.multiply(r2[:, :k - 1], ejg, out=block),
-                           axis=1)
-    base += r2[:, :k - 1]
-    np.expm1(r3[:, :k - 1], out=block)
-    block *= base
-    block *= ejg
-    inner2 = np.add.reduce(block, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # R1 from its exact identity: e^{-k g} prod - 1 - a S_k
+        r1 = np.expm1(log_prod - k * g_eff) - a_s[:, -1]
+        base = np.add(a_s[:, :k - 1], 1.0, out=a_s[:, :k - 1])
+        inner4 = np.add.reduce(np.multiply(base, ejg, out=block), axis=1)
+        inner3 = np.add.reduce(np.multiply(r2[:, :k - 1], ejg, out=block),
+                               axis=1)
+        base += r2[:, :k - 1]
+        np.expm1(r3[:, :k - 1], out=block)
+        block *= base
+        block *= ejg
+        inner2 = np.add.reduce(block, axis=1)
 
     pre = 0.5 * k * math.log(k) if mode == LITERAL else 0.0
+
+    def first(lp: float):
+        """sigma_0^2 e^lp, or its (log magnitude, sign) in literal mode."""
+        if mode == LITERAL:
+            return (math.log(params.sigma0_sq) + pre + lp, 1.0)
+        try:
+            return params.sigma0_sq * math.exp(lp)
+        except OverflowError:
+            return math.inf
 
     def component(inner: float):
         """omega * inner, or its (log magnitude, sign) in literal mode."""
@@ -233,12 +264,12 @@ def decompose_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
                 math.copysign(1.0, inner))
 
     reports = []
-    for lp, i2, i3, i4, *remainders in zip(*(a.tolist() for a in (
-            log_prod, inner2, inner3, inner4,
-            r1, r2_max, r2_lil_max, r3_rel_max))):
-        c1 = (params.sigma0_sq * math.exp(lp) if mode == CLASSICAL
-              else (math.log(params.sigma0_sq) + pre + lp, 1.0))
-        comps = (c1, component(i2), component(i3), component(i4))
+    for row, (lp, i2, i3, i4, *remainders) in enumerate(zip(*(
+            a.tolist() for a in (log_prod, inner2, inner3, inner4,
+                                 r1, r2_max, r2_lil_max, r3_rel_max)))):
+        comps = (first(lp), component(i2), component(i3), component(i4))
+        if mode == CLASSICAL and not all(map(math.isfinite, comps)):
+            raise DecompositionOverflow(k, row)
         reports.append(DecompositionReport(k, mode, comps, *remainders,
                                            prefactor_log=pre))
     return reports

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from mdgarch import harness
 from mdgarch.cli import main
 from mdgarch.innovations import InnovationSpec, RngStream
 from mdgarch.localization import LocalizationScheme, Regime, realize_params
-from mdgarch.simulate import decompose_volatility, simulate_path
+from mdgarch.simulate import (DecompositionOverflow, decompose_volatility,
+                              simulate_path)
 from mdgarch.stats import CancellationError
 
 
@@ -237,10 +239,43 @@ class TestDiagnose:
         assert main(["diagnose", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("block_rows", [None, 1])
+    def test_classical_overflow_exit_3(self, tmp_path, capsys, monkeypatch,
+                                       block_rows):
+        # sigma_0^2 times the product of the k = 1600 factors exceeds the
+        # float range on some replications of this scheme (seed 7): a
+        # numerical breakdown (3) that names the first of them, also when
+        # each diagnostic block holds one row and later blocks fail too
+        if block_rows is not None:
+            monkeypatch.setattr(harness, "DIAG_BLOCK", block_rows * 1600)
+        scheme = {"omega": 1.0, "sigma0_sq": 1.0, "c_alpha": 6.0, "p": 0.5,
+                  "c_gamma": 2.0, "kappa": 0.2}
+        cfg = write_config(tmp_path / "c.json", n=2000, reps=40, seed=7,
+                           extra={"scheme": scheme})
+        params = realize_params(LocalizationScheme.from_config(scheme), 2000)
+        overflows = []
+        for i in range(40):
+            path = simulate_path(params, InnovationSpec("standard-normal"),
+                                 RngStream(7, i))
+            try:
+                decompose_volatility(path, params, 1600)
+            except DecompositionOverflow:
+                overflows.append(i)
+        assert 0 < overflows[0] and len(overflows) > 1
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", str(cfg),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert (f"classical decomposition overflows at k=1600, replication "
+                f"{overflows[0]}:") in err
+        assert "literal mode" in err and "Traceback" not in err
+        assert not out.exists()
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out),
+                     "--mode", "literal"]) == 0
 
     def test_run_too_large_for_memory_exit_2(self, tmp_path, capsys):
-        # the (1, 8e14) diagnostics window (6.4e15 bytes) exceeds any
-        # address space, so numpy refuses it without touching memory
+        # the diagnostics' (1, 8e14) row arrays (6.4e15 bytes each) exceed
+        # any address space, so numpy refuses them without touching memory
         cfg = write_config(tmp_path / "c.json", n=10 ** 15, reps=2)
         out = tmp_path / "out"
         assert main(["diagnose", "--config", str(cfg),
@@ -364,20 +399,40 @@ def _run_child(script: str) -> str:
     return done.stdout.splitlines()[-1]
 
 
-def test_verify_peak_memory_does_not_grow_with_n(tmp_path):
-    # the innovations stream through the kernel in time blocks: holding
-    # all of them would take 160 MB at n = 20000 x 1000 reps, and the
-    # whole run peaks near 48 MB on a 2-vCPU Linux host.  Linux carries a
-    # process's peak RSS across fork and exec into its child's ru_maxrss,
-    # so the run is the child of a small launcher, not of this process
-    cfg = write_config(tmp_path / "c.json", n=20000, reps=1000)
-    argv = [sys.executable, "-m", "mdgarch.cli", "verify", "--config",
-            str(cfg), "--out", str(tmp_path / "out")]
+def _peak_rss_kb(argv) -> Tuple[str, int]:
+    """(exit code, peak RSS in KiB) of `mdgarch argv` in a fresh
+    interpreter.  Linux carries a process's peak RSS across fork and exec
+    into its child's ru_maxrss, so the run is the child of a small
+    launcher, not of this process."""
+    argv = [sys.executable, "-m", "mdgarch.cli"] + argv
     script = ("import resource, subprocess; "
               f"rc = subprocess.run({argv!r}, "
               "stdout=subprocess.DEVNULL).returncode; "
               "print(rc, resource.getrusage("
               "resource.RUSAGE_CHILDREN).ru_maxrss)")
     rc, maxrss_kb = _run_child(script).split()
+    return rc, int(maxrss_kb)
+
+
+def test_verify_peak_memory_does_not_grow_with_n(tmp_path):
+    # the innovations stream through the kernel in time blocks: holding
+    # all of them would take 160 MB at n = 20000 x 1000 reps, and the
+    # whole run peaks near 48 MB on a 2-vCPU Linux host
+    cfg = write_config(tmp_path / "c.json", n=20000, reps=1000)
+    rc, maxrss_kb = _peak_rss_kb(["verify", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
     assert rc in ("0", "1")
-    assert int(maxrss_kb) < 110 * 1024
+    assert maxrss_kb < 110 * 1024
+
+
+def test_diagnose_peak_memory_holds_no_diagnostics_window(tmp_path):
+    # the path diagnostics redraw [0, k) a block of rows at a time into
+    # arrays reused per thread: a (500, 40000) window of innovations
+    # alone would take 160 MB, and the whole run peaks near 60 MB on a
+    # 2-vCPU Linux host
+    cfg = write_config(tmp_path / "c.json", c_gamma=1.0, kappa=0.6,
+                       n=50000, reps=500)
+    rc, maxrss_kb = _peak_rss_kb(["diagnose", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+    assert rc == "0"
+    assert maxrss_kb < 110 * 1024

@@ -10,6 +10,7 @@ of rows in the block.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import Tuple
 
@@ -373,6 +374,39 @@ def test_ns_run_equals_per_path_reductions(mode):
                          - math.sqrt(2.0 * abs(g)) * tau) ** 2)
     assert report.results["tau_coupling"]["estimate"] == \
         _sorted_mean(np.array(coupling))
+    _check_remainders(report, [decompose_volatility(p, params, k, mode)
+                               for p in paths])
+
+
+T8 = InnovationSpec(kind="student-t-normalized", df=8.0)
+MIXTURE = InnovationSpec(kind="two-point-mixture", a=math.sqrt(0.5),
+                         b=math.sqrt(1.5), w=0.5)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("regime", ["NE", "NS"])
+@pytest.mark.parametrize("law", [T8, MIXTURE], ids=["t8", "mixture"])
+def test_redrawn_laws_equal_per_path_reductions(law, regime, mode):
+    # the diagnostics redraw [0, k) of each replication from its re-seeded
+    # generator; for every law that must be the path's own innovations
+    tests = {"NE": ("lemma", "remainders"),
+             "NS": ("tau_coupling", "remainders")}[regime]
+    config = replace(_harness_config(regime, tests, mode), innovation=law)
+    report = run_experiment(config)
+    params, paths = _per_path(config)
+    k, g = diag_checkpoint(HARNESS_N), params.gamma_n
+    if regime == "NE":
+        lemma = [lemma_discrepancy(p, params, k, mode) for p in paths]
+        assert report.results["lemma"]["mean"] == \
+            _sorted_mean(np.array(lemma))
+    else:
+        coupling = []
+        for p in paths:
+            tau, tau_star = tau_stats(p, params, k, mode)
+            coupling.append((math.sqrt(2.0 * abs(g) ** 3) * tau_star
+                             - math.sqrt(2.0 * abs(g)) * tau) ** 2)
+        assert report.results["tau_coupling"]["estimate"] == \
+            _sorted_mean(np.array(coupling))
     _check_remainders(report, [decompose_volatility(p, params, k, mode)
                                for p in paths])
 

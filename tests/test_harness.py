@@ -285,14 +285,30 @@ def test_chunk_size_leaves_reports_unchanged(monkeypatch, regime, mode,
                                              tests):
     config = ns_config(scheme=REGIME_SCHEMES[regime], n=400, reps=120,
                        mode=mode, tests=tests)
-    # a chunk's rows hold CHUNK innovations in the diagnostics window, or
-    # else in the time-block buffer
-    width = (diag_checkpoint(config.n) if tests is not McConfig.tests
-             else harness.TIME_BLOCK)
-    assert harness.CHUNK // width >= config.reps
+    # a chunk's rows hold CHUNK innovations in a time block of TIME_BLOCK
+    # columns, with path diagnostics or without
+    assert harness.CHUNK // harness.TIME_BLOCK >= config.reps
     want = report_bytes(config)
     for rows in (1, 7, 50):
-        monkeypatch.setattr(harness, "CHUNK", rows * width)
+        monkeypatch.setattr(harness, "CHUNK", rows * harness.TIME_BLOCK)
+        assert report_bytes(config) == want
+
+
+@pytest.mark.parametrize("regime,mode", [
+    ("NE", CLASSICAL), ("NE", LITERAL), ("NS", CLASSICAL), ("NS", LITERAL),
+    ("INT", CLASSICAL)])
+def test_diagnostic_block_leaves_reports_unchanged(monkeypatch, regime,
+                                                   mode):
+    # each diagnostic block redraws its rows' [0, k) into arrays that its
+    # thread reuses from block to block, including a shorter last block:
+    # by default 102 rows at k = 320 (blocks of 102 and 18 rows)
+    config = ns_config(scheme=REGIME_SCHEMES[regime], n=400, reps=120,
+                       mode=mode, tests=DIAGNOSTICS[regime])
+    k = diag_checkpoint(config.n)
+    assert harness.DIAG_BLOCK // k == 102
+    want = report_bytes(config)
+    for rows in (1, 3):
+        monkeypatch.setattr(harness, "DIAG_BLOCK", rows * k)
         assert report_bytes(config) == want
 
 
@@ -312,8 +328,9 @@ OVERFLOW_NE = ns_scheme(c_gamma=3.0, kappa=0.2)
 def test_time_block_leaves_reports_unchanged(monkeypatch, scheme, mode,
                                              tests, n):
     # 300 columns is a multiple of neither the kernel's BLOCK nor k_diag
-    # (320 at n = 400).  The diagnostics window [0, k_diag) is drawn as
-    # one block, so the overflowing scheme runs without diagnostics; its
+    # (320 at n = 400).  The path diagnostics redraw [0, k_diag) in a pass
+    # of their own, whatever the time blocks.  The overflowing scheme runs
+    # without diagnostics (its classical decomposition overflows); its
     # classical return statistic at k = 1600 (about e^-122) reads the
     # log-space track to the last bit
     config = ns_config(scheme=scheme, n=n, reps=120 if n == 400 else 40,
