@@ -5,9 +5,12 @@ enabled statistical tests pass, 1 a statistical test fails, 2 usage or
 configuration error, or a run too large for memory, 3 a numerical
 breakdown: a statistic lost all its significant digits to cancellation,
 or a classical decomposition component overflowed (the message names
-the checkpoint k and the first replication).  All numeric file output
-is printed with 17 significant digits and is byte-identical across
-reruns with the same master seed.
+the checkpoint k and the first replication), 4 an internal error: any
+other exception, a fault in the program rather than in the run, with
+its traceback.  verify, diagnose and sweep build every output before
+writing the first, so a run that fails while computing writes none.
+All numeric file output is printed with 17 significant digits and is
+byte-identical across reruns with the same master seed.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,6 +39,7 @@ EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_CANCELLATION = 3
+EXIT_INTERNAL = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,6 +125,13 @@ def _write(out_dir: str, name: str, text: str) -> str:
     return path
 
 
+def _write_all(out_dir: str, files: dict) -> None:
+    """Write each file's text, all built before the first is written: a
+    run that fails while building its outputs leaves none behind."""
+    for name, text in files.items():
+        _write(out_dir, name, text)
+
+
 def cmd_simulate(args) -> int:
     # path export runs no statistical tests; drop the test list so its
     # constraints (GOF reps floor, classical-only) do not apply here
@@ -144,8 +156,8 @@ def cmd_verify(args) -> int:
             "verify requires classical mode; literal is diagnostic-only")
     shift = 1.0 if args.corrupt_centering else 0.0
     report = run_experiment(config, vol_shift=shift)
-    _write(args.out, "report.json", report.to_json() + "\n")
-    _write(args.out, "stats.csv", report.stats_csv())
+    _write_all(args.out, {"report.json": report.to_json() + "\n",
+                          "stats.csv": report.stats_csv()})
     print(f"verdict: {'pass' if report.verdict else 'FAIL'} "
           f"({len(report.results)} tests)")
     return EXIT_PASS if report.verdict else EXIT_STAT_FAIL
@@ -160,9 +172,9 @@ def cmd_diagnose(args) -> int:
     tests = ("remainders",) + ((spec.diagnostic,) if spec.diagnostic else ())
     config = dataclasses.replace(config, tests=tests)
     report = run_experiment(config)
-    _write(args.out, "diagnostics.json", report.to_json() + "\n")
-    _write(args.out, "components.csv", _components_csv(report))
-    _write(args.out, "qq.csv", _qq_csv(config, spec, report))
+    _write_all(args.out, {"diagnostics.json": report.to_json() + "\n",
+                          "components.csv": _components_csv(report),
+                          "qq.csv": _qq_csv(config, spec, report)})
     print(f"wrote diagnostics to {args.out}")
     return EXIT_PASS
 
@@ -218,11 +230,11 @@ def cmd_sweep(args) -> int:
     config = McConfig.from_config(doc)
     n_grid = _read_sweep_grid(doc, args)
     reports, trend = run_n_sweep(config, n_grid)
-    for n, rep in zip(n_grid, reports):
-        _write(args.out, f"report_n{n}.json", rep.to_json() + "\n")
-    _write(args.out, "trend.json",
-           json.dumps(trend, sort_keys=True, indent=2) + "\n")
     ok = sweep_verdict(reports, trend)
+    files = {f"report_n{n}.json": rep.to_json() + "\n"
+             for n, rep in zip(n_grid, reports)}
+    files["trend.json"] = json.dumps(trend, sort_keys=True, indent=2) + "\n"
+    _write_all(args.out, files)
     print(f"sweep verdict: {'pass' if ok else 'FAIL'}")
     return EXIT_PASS if ok else EXIT_STAT_FAIL
 
@@ -250,6 +262,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DecompositionOverflow as exc:
         print(f"error: numerical overflow: {exc}", file=sys.stderr)
         return EXIT_CANCELLATION
+    except Exception:
+        # a bug, not a failed test (1): say so, with where it happened
+        print("error: internal error", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

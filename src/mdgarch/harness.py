@@ -345,7 +345,6 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
         spare.append(work)
 
     chunk = max(1, CHUNK // TIME_BLOCK)
-    cols = np.asarray(ks)
     for start in range(0, reps, chunk):
         rows = min(chunk, reps - start)
         if need_paths:
@@ -361,8 +360,8 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
             block = held[:, :min(width, n + 1 - a)]
             map_row_blocks(draw, rows, max(1, DRAW_SLICE // block.shape[1]))
             rec.advance(block, a)
-            m = np.flatnonzero((cols >= a) & (cols < a + block.shape[1]))
-            eps_k[:, m] = block[:, cols[m] - a]
+            m, j = rec.kept(a, a + block.shape[1])
+            eps_k[:, m] = block[:, j]
         out = slice(start, start + rows)
         for m, k in enumerate(ks):
             try:

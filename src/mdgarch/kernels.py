@@ -3,22 +3,23 @@ sigma_{t-1}^2 for a batch of innovation rows, on numpy alone.
 
 ``Recursion`` holds the recursion's state for a batch of rows and
 advances it one time block of innovations at a time
-(``Recursion.advance``): per row the last sigma^2, the first overflow
-index and the last finite value before it, the log-space value of rows
-that have overflowed, and both tracks at the kept time indices.  Only
-those are kept, so the innovations can be drawn and dropped block by
-block.  ``recursion_batch`` is the case of one block holding the whole
-path.
+(``Recursion.advance``): per row sigma^2 at the last step, the first
+overflow index, log sigma^2 at the last step once the row has
+overflowed, and both tracks at the kept time indices.  Only those are
+kept, so the innovations can be drawn and dropped block by block.
+``recursion_batch`` is the case of one block holding the whole path.
 
-A block of several rows runs a time-major kernel.  Per sub-block of
-``BLOCK`` steps it computes the factors ``alpha*(e*e) + beta`` as a
-(steps, rows) array, advances each step as an in-place multiply and add
-on one contiguous row and copies out only the kept columns.  A block of
-one row runs its linear track as a plain Python-float loop, since
-per-step numpy dispatch on length-1 arrays costs far more than the
-arithmetic.  Both routes share the log track: ``np.log`` over the kept
-finite entries, then ``logaddexp`` log-space steps only for rows that
-overflowed, from their first overflow on.
+A row block steps through one loop over sub-blocks of its time block:
+``BLOCK`` steps each when it has several rows, the whole time block
+when it has one.  Only the linear step differs by row count.  Several
+rows run time-major: the factors ``alpha*(e*e) + beta`` as a (steps,
+rows) array, each step an in-place multiply and add on one contiguous
+row.  One row runs a plain Python-float loop, since per-step numpy
+dispatch on length-1 arrays costs far more than the arithmetic.  Every
+sub-block then ends the same way: it detects new overflows (and stores
+log sigma^2 just before each), copies out only the kept columns with
+their ``np.log``, and runs exact ``logaddexp`` log-space steps for the
+rows that have overflowed, from their first overflow on.
 
 Rows are independent, so ``advance`` splits a batch into at most
 ``WORKERS`` contiguous row blocks of at least ``KERNEL_MIN_ROWS`` rows
@@ -117,7 +118,9 @@ class Recursion:
     hold the tracks at ``keep`` and ``overflow_at`` per row the first t
     with non-finite sigma_sq, or -1.  Past an overflow the linear track
     is inf (nan where a zero factor meets inf) and the log track
-    continues exactly in log space.
+    continues exactly in log space.  Between blocks the state is per row
+    sigma^2 at the last step (``prev``) and, once the row has
+    overflowed, log sigma^2 there (``log_prev``).
     """
 
     def __init__(self, reps: int, n: int, omega: float, alpha: float,
@@ -139,7 +142,6 @@ class Recursion:
         self.log_sigma_sq[:, at0] = math.log(sigma0_sq)
         self.overflow_at = np.full(reps, -1, dtype=np.int64)
         self.prev = np.full(reps, float(sigma0_sq))  # at the last step
-        self.last_finite = np.empty(reps)  # sigma_sq at overflow_at - 1
         self.log_prev = np.empty(reps)     # at the last step, if overflowed
 
     def advance(self, eps: np.ndarray, a: int) -> None:
@@ -153,18 +155,7 @@ class Recursion:
         map_row_blocks(lambda rows: self._advance_rows(eps[rows, :m], a, rows),
                        reps, max(1, -(-reps // blocks)))
 
-    def _advance_rows(self, eps, a, rows):
-        # slices of the state arrays are views: a row block writes its own
-        prev, overflow_at, last_finite, sigma_sq, log_sigma_sq, log_prev = (
-            x[rows] for x in (self.prev, self.overflow_at, self.last_finite,
-                              self.sigma_sq, self.log_sigma_sq,
-                              self.log_prev))
-        linear = self._linear_row if len(eps) == 1 else self._linear_rows
-        linear(eps, a, prev, overflow_at, last_finite, sigma_sq, log_sigma_sq)
-        self._log_space(eps, a, log_prev, overflow_at, last_finite,
-                        log_sigma_sq)
-
-    def _keep(self, lo, hi):
+    def kept(self, lo: int, hi: int):
         """(positions in keep, offsets from lo) of the kept time indices
         in [lo, hi): slices when every index is kept."""
         if self.every:
@@ -172,80 +163,73 @@ class Recursion:
         k = np.flatnonzero((self.cols >= lo) & (self.cols < hi))
         return k, self.cols[k] - lo
 
-    def _linear_rows(self, eps, a, prev, overflow_at, last_finite, sigma_sq,
-                     log_sigma_sq):
-        omega, alpha, beta, _ = self.params
+    def _advance_rows(self, eps, a, rows):
+        # slices of the state arrays are views: a row block writes its own
+        prev, overflow_at, sigma_sq, log_sigma_sq, log_prev = (
+            x[rows] for x in (self.prev, self.overflow_at, self.sigma_sq,
+                              self.log_sigma_sq, self.log_prev))
+        omega, alpha, beta, sigma0_sq = self.params
         m = eps.shape[1]
-        factors = np.empty((min(BLOCK, m), len(eps)))
-        for j in range(0, m, BLOCK):
+        # one row takes the whole block at once: see the loop below
+        size = m if len(eps) == 1 else BLOCK
+        factors = np.empty((min(size, m), len(eps)))
+        for j in range(0, m, size):
             t = a + 1 + j   # the step of the sub-block's first row
-            block = factors[:min(BLOCK, m - j)]
-            np.copyto(block, eps[:, j:j + len(block)].T)
-            # overflow to inf (and 0 * inf = nan) is expected on explosive
-            # paths; the log-space pass carries the exact value onward
-            with np.errstate(over="ignore", invalid="ignore"):
-                block *= block
-                block *= alpha
-                block += beta
-                row = prev
-                for cur in block:
-                    cur *= row
-                    cur += omega
-                    row = cur
+            block = factors[:min(size, m - j)]
+            block_eps = eps[:, j:j + len(block)]
+            if len(eps) == 1:
+                # per-step numpy dispatch on length-1 arrays costs far more
+                # than the arithmetic: a Python-float loop through
+                # memoryviews, bit for bit the same (inf and nan included)
+                out = memoryview(block[:, 0])
+                cur = float(prev[0])
+                for i, e in enumerate(memoryview(block_eps[0])):
+                    cur = omega + (alpha * (e * e) + beta) * cur
+                    out[i] = cur
+            else:
+                np.copyto(block, block_eps.T)
+                # overflow to inf (and 0 * inf = nan) is expected on
+                # explosive paths; the log-space steps carry the exact value
+                with np.errstate(over="ignore", invalid="ignore"):
+                    block *= block
+                    block *= alpha
+                    block += beta
+                    row = prev
+                    for cur in block:
+                        cur *= row
+                        cur += omega
+                        row = cur
             # a non-finite sigma^2 stays non-finite, so the sub-block's
             # last row shows every overflow
             newly = ~np.isfinite(block[-1]) & (overflow_at < 0)
             if newly.any():
-                rows = np.flatnonzero(newly)
-                i = np.isfinite(block[:, rows]).argmin(axis=0)
-                overflow_at[rows] = t + i
-                last_finite[rows] = np.where(i > 0, block[i - 1, rows],
-                                             prev[rows])
-            k, j = self._keep(t, t + len(block))
-            kept = block[j].T
+                new = np.flatnonzero(newly)
+                i = np.isfinite(block[:, new]).argmin(axis=0)
+                overflow_at[new] = t + i
+                # the log-space steps start from log sigma^2 at t0 - 1
+                log_prev[new] = np.log(np.where(i > 0, block[i - 1, new],
+                                                prev[new]))
+                log_prev[new[t + i == 1]] = math.log(sigma0_sq)
+            k, c = self.kept(t, t + len(block))
+            kept = block[c].T
             sigma_sq[:, k] = kept
             log_sigma_sq[:, k] = np.log(kept)  # inf/nan: see _log_space
             prev[:] = block[-1]
+            self._log_space(block_eps, t, log_prev, overflow_at,
+                            log_sigma_sq)
 
-    def _linear_row(self, eps, a, prev, overflow_at, last_finite, sigma_sq,
-                    log_sigma_sq):
-        """_linear_rows for one row, bit for bit: a Python-float loop
-        through memoryviews (inf and nan propagate as in numpy)."""
-        omega, alpha, beta, _ = self.params
-        track = np.empty(eps.shape[1])   # sigma_sq at steps a+1, ...
-        out = memoryview(track)
-        cur = float(prev[0])
-        for j, e in enumerate(memoryview(eps[0])):
-            cur = omega + (alpha * (e * e) + beta) * cur
-            out[j] = cur
-        finite = np.isfinite(track)
-        if overflow_at[0] < 0 and not finite.all():
-            i = int(np.argmin(finite))
-            overflow_at[0] = a + 1 + i
-            last_finite[0] = track[i - 1] if i else prev[0]
-        k, j = self._keep(a + 1, a + 1 + len(track))
-        kept = track[j]
-        sigma_sq[0, k] = kept
-        log_sigma_sq[0, k] = np.log(kept)
-        prev[0] = cur
-
-    def _log_space(self, eps, a, log_prev, overflow_at, last_finite,
-                   log_sigma_sq):
-        """The log track of steps a+1..a+m for the rows overflowed by step
-        a+m, from log_prev (rows overflowed before the block) or from the
-        log of last_finite at their first overflow t0."""
-        m = eps.shape[1]
-        sub = np.flatnonzero((overflow_at >= 0) & (overflow_at <= a + m))
+    def _log_space(self, eps, t, log_prev, overflow_at, log_sigma_sq):
+        """The log track of steps t, ..., t+m-1 (eps has shape (rows, m))
+        for the rows overflowed by step t+m-1, from log_prev: log sigma^2
+        at step t-1, or at t0-1 for a row whose first overflow t0 is in
+        the sub-block."""
+        sub = np.flatnonzero(overflow_at >= 0)
         if not sub.size:
             return
-        omega, alpha, beta, sigma0_sq = self.params
+        omega, alpha, beta, _ = self.params
         t0 = overflow_at[sub]
-        lp = log_prev[sub]
-        new = np.flatnonzero(t0 > a)
-        lp[new] = np.log(last_finite[sub[new]])
-        lp[new[t0[new] == 1]] = math.log(sigma0_sq)
-        start = lp.copy()
-        first = max(a + 1, int(t0.min()))
+        first = max(t, int(t0.min()))
+        start = lp = log_prev[sub]
         # rows overflowing after `first` run along from there and are
         # reset to their own start at t0 - 1
         restart = {}
@@ -254,22 +238,20 @@ class Recursion:
         log_omega = math.log(omega)
         log_alpha = math.log(alpha) if alpha > 0.0 else -math.inf
         log_beta = math.log(beta) if beta > 0.0 else -math.inf
-        for s in range(first, a + m + 1, BLOCK):
-            e = min(s + BLOCK, a + m + 1)
-            e2 = np.ascontiguousarray(eps[sub, s - 1 - a:e - 1 - a].T)
-            e2 *= e2
-            with np.errstate(divide="ignore"):
-                block = np.logaddexp(log_alpha + np.log(e2), log_beta)
-            for t, cur in enumerate(block, start=s):
-                cur += lp
-                np.logaddexp(log_omega, cur, out=cur)
-                if t in restart:
-                    cur[restart[t]] = start[restart[t]]
-                lp = cur
-            k, j = self._keep(s, e)
-            at = np.ix_(sub, np.arange(len(self.cols))[k])
-            log_sigma_sq[at] = np.where(self.cols[k] >= t0[:, None],
-                                        block[j].T, log_sigma_sq[at])
+        e2 = np.ascontiguousarray(eps[sub, first - t:].T)
+        e2 *= e2
+        with np.errstate(divide="ignore"):
+            block = np.logaddexp(log_alpha + np.log(e2), log_beta)
+        for s, cur in enumerate(block, start=first):
+            cur += lp
+            np.logaddexp(log_omega, cur, out=cur)
+            if s in restart:
+                cur[restart[s]] = start[restart[s]]
+            lp = cur
+        k, c = self.kept(first, t + eps.shape[1])
+        at = np.ix_(sub, np.arange(len(self.cols))[k])
+        log_sigma_sq[at] = np.where(self.cols[k] >= t0[:, None],
+                                    block[c].T, log_sigma_sq[at])
         log_prev[sub] = lp
 
 

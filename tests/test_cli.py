@@ -1,16 +1,21 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 from typing import Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdgarch
-from mdgarch import harness
+from mdgarch import cli, harness
 from mdgarch.cli import main
 from mdgarch.innovations import InnovationSpec, RngStream
 from mdgarch.localization import LocalizationScheme, Regime, realize_params
@@ -318,6 +323,98 @@ class TestUsage:
 
     def test_missing_required_flag_exit_2(self, capsys):
         assert main(["verify"]) == 2
+
+
+class TestInternalError:
+    """Any other exception is a fault in the program: exit 4 with its
+    traceback, never 1 (a failed test), and no report."""
+
+    @staticmethod
+    def fault(*args):
+        raise KeyError("injected")
+
+    def check(self, command, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", n=400, reps=120)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "error: internal error" in err
+        assert "Traceback" in err and "KeyError: 'injected'" in err
+        assert not out.exists()
+
+    def test_verify_exit_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "checkpoint_returns", self.fault)
+        self.check("verify", tmp_path, capsys)
+
+    def test_diagnose_exit_4(self, tmp_path, capsys, monkeypatch):
+        # the fault comes after diagnostics.json's text is built
+        monkeypatch.setattr(cli, "_qq_csv", self.fault)
+        self.check("diagnose", tmp_path, capsys)
+
+
+# c_gamma's sign picks the regime, each with the diagnostics a sweep
+# may run; the last scheme's classical decompositions overflow (see
+# test_classical_overflow_exit_3)
+SCHEMES = [
+    ({"c_alpha": 1.0, "c_gamma": -1.0}, ["tau_coupling", "remainders"]),
+    ({"c_alpha": 1.0, "c_gamma": 0.0}, ["remainders"]),
+    ({"c_alpha": 1.0, "c_gamma": 1.0}, ["lemma", "remainders"]),
+    ({"c_alpha": 6.0, "c_gamma": 2.0, "kappa": 0.2, "p": 0.5},
+     ["lemma", "remainders"])]
+INNOVATIONS = [{"kind": "standard-normal"},
+               {"kind": "student-t-normalized", "df": 8.0},
+               {"kind": "two-point-mixture", "a": 0.5, "b": math.sqrt(1.75),
+                "w": 0.5}]
+
+
+def _written_verdict(out, command):
+    if command == "sweep":
+        reports = [SimpleNamespace(**json.loads(f.read_text()))
+                   for f in out.glob("report_n*.json")]
+        assert len(reports) == 3
+        trend = json.loads((out / "trend.json").read_text())
+        return harness.sweep_verdict(reports, trend)
+    name = "report.json" if command == "verify" else "diagnostics.json"
+    return json.loads((out / name).read_text())["verdict"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(command=st.sampled_from(["verify", "diagnose", "sweep"]),
+       scheme=st.sampled_from(SCHEMES),
+       kappa=st.sampled_from([0.01, 0.5, 0.99]),
+       p=st.sampled_from([0.01, 0.5, 0.99]),
+       mode=st.sampled_from(["classical", "literal"]),
+       innovation=st.sampled_from(INNOVATIONS),
+       n=st.sampled_from([300, 3000, 20000]),
+       reps=st.sampled_from([30, 120, 200]), seed=st.integers(0, 2 ** 32 - 1))
+def test_exit_code_property(tmp_path_factory, command, scheme, kappa, p, mode,
+                            innovation, n, reps, seed):
+    # exit 0-3 only, 1 exactly when the written verdict is false, and no
+    # output on 2 or 3
+    scheme, diagnostics = scheme
+    if command == "sweep":
+        tests = diagnostics
+    else:
+        tests = ["vol_gof", "independence"]
+        if innovation["kind"] != "two-point-mixture":
+            tests.append("ret_gof")
+    scheme = {"omega": 1.0, "sigma0_sq": 1.0, "kappa": kappa, "p": p,
+              **scheme}
+    tmp = tmp_path_factory.mktemp("exit")
+    cfg = write_config(tmp / "c.json", n=n, reps=reps, seed=seed, mode=mode,
+                       tests=tests,
+                       extra={"scheme": scheme, "innovation": innovation,
+                              "sweep": {"n_grid": [n // 4, n // 2, n]}})
+    out = tmp / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code in (0, 1, 2, 3), err.getvalue()
+    if code >= 2:
+        assert not out.exists()
+    else:
+        assert (code == 1) == (not _written_verdict(out, command))
 
 
 def _set(section, key, value):

@@ -276,6 +276,48 @@ class TestKernels:
                 recursion_batch(eps, 1.0, 0.05, 0.9, 1.0, keep=keep)
 
 
+    @pytest.mark.parametrize("keep", [None, "some"])
+    @pytest.mark.parametrize("sigma0_sq", [1.0, 1e300])
+    @pytest.mark.parametrize("block", [1, 2, 3, 256])
+    def test_sub_block_seams(self, monkeypatch, block, sigma0_sq, keep):
+        # each sub-block of BLOCK steps ends with the overflow detection
+        # and the log-space steps, so every seam restarts them.  Rows
+        # overflow at t0 = 1, at a sub-block's first and last step, twice
+        # in one sub-block and at the last step; zeros past the spikes
+        # give 0 * inf = nan.  recursion_batch, its one-row batches and
+        # Recursion fed in mixed time blocks all equal the loop
+        monkeypatch.setattr(kernels, "BLOCK", block)
+        n = 4 * 256 + 7
+        spikes = (1, block + 1, 2 * block, 3 * block + 2, 3 * block + 3,
+                  n)
+        eps = RngStream(7, 9).generator().standard_normal((7, n + 1))
+        for r, t in enumerate(spikes):
+            eps[r, t - 1] = 1e154
+            eps[r, t::3] = 0.0
+        if keep == "some":
+            keep = [0, 1, 2, block, block + 1, 2 * block, 3 * block + 3,
+                    n - 1, n]
+        with np.errstate(invalid="ignore"):
+            loop = recursion_loop(eps, 1.0, 2.0, 0.0, sigma0_sq)
+        want = [x if keep is None else x[:, keep] for x in loop[:2]]
+        want.append(loop[2])
+        assert list(want[2][:6]) == list(spikes)
+        got = assert_matches_loop(eps, 1.0, 2.0, 0.0, sigma0_sq, keep)
+        assert np.isnan(got[0][:5, -1]).all()
+        for r in range(len(eps)):
+            assert_matches_loop(eps[r:r + 1], 1.0, 2.0, 0.0, sigma0_sq, keep)
+        rec = Recursion(len(eps), n, 1.0, 2.0, 0.0, sigma0_sq, keep)
+        sizes = (block + 3, 1, 2, 300)
+        a, i = 0, 0
+        while a <= n:
+            size = sizes[i % len(sizes)]
+            rec.advance(np.ascontiguousarray(eps[:, a:a + size]), a)
+            a, i = a + size, i + 1
+        for x, y in zip((rec.sigma_sq, rec.log_sigma_sq, rec.overflow_at),
+                        want):
+            assert x.tobytes() == y.tobytes()
+
+
 class TestRowBlocks:
     """map_row_blocks and the kernel's outputs under any worker count."""
 
