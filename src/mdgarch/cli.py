@@ -1,14 +1,13 @@
 """Command-line front end.
 
 Subcommands: simulate, verify, diagnose, sweep.  Exit codes: 0 all
-enabled statistical tests pass, 1 a statistical test fails, 2 usage or
-configuration error, or a run too large for memory, 3 a numerical
-breakdown: a statistic lost all its significant digits to cancellation,
-or a classical decomposition component overflowed (the message names
-the checkpoint k and the first replication), 4 an internal error: any
-other exception, a fault in the program rather than in the run, with
-its traceback.  verify, diagnose and sweep build every output before
-writing the first, so a run that fails while computing writes none.
+enabled statistical tests pass, 1 a statistical test fails, 2 a usage
+or configuration error (refused before any draw) or a run too large for
+memory, 3 a numerical breakdown: cancellation, a decomposition overflow
+or a constant independence column (named by checkpoint k and any first
+failed replication), 4 an internal error: any other exception, a fault
+in the program, with its traceback.  verify, diagnose and sweep build
+every output before writing the first, so a run that raises writes none.
 All numeric file output is printed with 17 significant digits and is
 byte-identical across reruns with the same master seed.
 """
@@ -31,9 +30,8 @@ from .harness import (QQ_REF_STREAM, REGIMES, ConfigurationError, McConfig,
                       sweep_verdict, validate_config)
 from .innovations import RngStream
 from .localization import classify_regime
-from .simulate import (CLASSICAL, LITERAL, DecompositionOverflow,
+from .simulate import (CLASSICAL, LITERAL, NumericalBreakdown,
                        export_path_csv, simulate_path)
-from .stats import CancellationError
 
 EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
@@ -106,7 +104,11 @@ def load_config(path: str, args) -> McConfig:
 
 def _read_sweep_grid(doc: dict, args) -> Sequence[int]:
     if getattr(args, "n_grid", None):
-        return [int(x) for x in args.n_grid.split(",")]
+        try:
+            return [int(x) for x in args.n_grid.split(",")]
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"--n-grid must be comma-separated integers: {exc}") from exc
     sweep = doc.get("sweep", {})
     grid = sweep.get("n_grid") if isinstance(sweep, dict) else None
     if not grid:
@@ -249,18 +251,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "diagnose": cmd_diagnose, "sweep": cmd_sweep}
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, ValueError, OSError) as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:
         # too large a run for this host: not a statistical failure
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CancellationError as exc:
-        print(f"error: numerical cancellation: {exc}", file=sys.stderr)
-        return EXIT_CANCELLATION
-    except DecompositionOverflow as exc:
-        print(f"error: numerical overflow: {exc}", file=sys.stderr)
+    except NumericalBreakdown as exc:
+        print(f"error: numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_CANCELLATION
     except Exception:
         # a bug, not a failed test (1): say so, with where it happened

@@ -46,9 +46,9 @@ from .innovations import (InnovationSpec, RngStream, innovation_cdf,
 from .kernels import Recursion, map_row_blocks
 from .localization import (GarchParams, LocalizationScheme, Regime,
                            classify_regime, realize_params)
-from .simulate import (CLASSICAL, LITERAL, MODES, DecompositionOverflow,
-                       DecompositionReport, decompose_rows)
-from .stats import (CancellationError, CheckpointGrid, checkpoint_returns,
+from .simulate import (CLASSICAL, LITERAL, MODES, DecompositionReport,
+                       NumericalBreakdown, decompose_rows)
+from .stats import (CheckpointGrid, checkpoint_returns,
                     int_return_stats, int_volatility_stats, lemma_rows,
                     ne_return_stats, ne_volatility_stats, ns_return_stats,
                     ns_volatility_stats, tau_rows)
@@ -168,7 +168,7 @@ class McConfig:
                 tests=tuple(tests),
                 level=float(run.get("level", McConfig.level)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"invalid config: {exc}") from exc
 
 
@@ -230,8 +230,12 @@ def validate_config(config: McConfig) -> GarchParams:
             "literal mode is diagnostic-only; GOF tests require classical")
     if GOF_TESTS & set(config.tests) and config.reps < 100:
         raise ConfigurationError("GOF tests need reps >= 100")
+    if "independence" in config.tests and config.reps < 10:
+        raise ConfigurationError("the independence test needs reps >= 10")
     if config.reps < 1:
         raise ConfigurationError("reps must be >= 1")
+    if config.master_seed < 0:
+        raise ConfigurationError("master_seed must be >= 0")
     if not 0.0 < config.level < 1.0:
         raise ConfigurationError("level must lie in (0, 1)")
     try:
@@ -303,12 +307,6 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
             sample_innovations(config.innovation, block.shape[1], gens[i],
                                out=block[i])
 
-    def checkpoint_stats(m, k, r=slice(None)):
-        s, ls = rec.sigma_sq[r, m], rec.log_sigma_sq[r, m]
-        return (spec.vol_stats(s, ls, params, n, k, xi_var, mode).value,
-                spec.ret_stats(*checkpoint_returns(s, ls, eps_k[r, m]),
-                               params, k, mode).value)
-
     def diagnose(rows):
         """The path diagnostics of chunk rows `rows`, from their
         innovations [0, k_diag) redrawn from the chunk's generators."""
@@ -339,9 +337,9 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
                 # eps, spent once squared, is the fourth temporary
                 decomps[block] = decompose_rows(xi, params, k_diag, mode,
                                                 s=s, work=temps + [eps])
-            except DecompositionOverflow as exc:
-                raise DecompositionOverflow(
-                    k_diag, block.start + exc.row, "replication") from None
+            except NumericalBreakdown as exc:
+                exc.row += block.start
+                raise
         spare.append(work)
 
     chunk = max(1, CHUNK // TIME_BLOCK)
@@ -363,19 +361,17 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
             m, j = rec.kept(a, a + block.shape[1])
             eps_k[:, m] = block[:, j]
         out = slice(start, start + rows)
-        for m, k in enumerate(ks):
-            try:
-                vol[out, m], ret[out, m] = checkpoint_stats(m, k)
-            except CancellationError as exc:
-                # a batch raises when any element cancels; name the first
-                where = f"checkpoint k={k}"
-                for i in range(rows):
-                    try:
-                        checkpoint_stats(m, k, slice(i, i + 1))
-                    except CancellationError:
-                        where += f", replication {start + i}"
-                        break
-                raise CancellationError(f"{where}: {exc}") from exc
+        try:
+            for m, k in enumerate(ks):
+                s, ls = rec.sigma_sq[:, m], rec.log_sigma_sq[:, m]
+                vol[out, m] = spec.vol_stats(s, ls, params, n, k, xi_var,
+                                             mode).value
+                ret[out, m] = spec.ret_stats(
+                    *checkpoint_returns(s, ls, eps_k[:, m]), params, k,
+                    mode).value
+        except NumericalBreakdown as exc:
+            exc.row += start
+            raise
         del held, block
     if vol_shift != 0.0:
         vol = vol + vol_shift
@@ -386,7 +382,7 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
     if "ret_gof" in config.tests:
         results["ret_gof"] = _ret_gof(config, ks, ret)
     if "independence" in config.tests:
-        results["independence"] = _independence(config, spec, vol)
+        results["independence"] = _independence(config, spec, ks, vol)
     if lemma_vals is not None:
         results["lemma"] = {"k": k_diag, "mean": _sorted_mean(lemma_vals),
                             "pass": True}
@@ -468,13 +464,18 @@ def _ret_gof(config: McConfig, ks, ret) -> dict:
             "pass": all(e["pass"] for e in per)}
 
 
-def _independence(config: McConfig, spec: RegimeSpec, vol) -> dict:
+def _independence(config: McConfig, spec: RegimeSpec, ks, vol) -> dict:
     basis = spec.independence_basis
     matrix = vol if basis == "statistics" else np.diff(vol, axis=1)
     if matrix.shape[1] < 2:
         return {"basis": basis, "max_abs_corr": 0.0,
                 "threshold": independence_threshold(config.reps),
                 "pass": True}
+    constant = np.flatnonzero(matrix.std(axis=0) == 0.0)
+    if constant.size:  # an increment is named by the checkpoint it ends at
+        k = ks[constant[0] + (basis == "increments")]
+        raise NumericalBreakdown(f"independence of the {basis}, checkpoint "
+                                 f"k={k}", None, "the column is constant")
     max_corr = gof.max_offdiag_abs_correlation(matrix)
     thr = independence_threshold(config.reps)
     return {"basis": basis, "max_abs_corr": max_corr, "threshold": thr,

@@ -169,9 +169,9 @@ def validate_spec(spec: InnovationSpec) -> InnovationSpec:
     if spec.kind == "student-t-normalized":
         if spec.df is None:
             raise InvalidInnovationSpec("student-t-normalized requires df")
-        if spec.df <= STUDENT_T_MIN_DF:
+        if not STUDENT_T_MIN_DF < spec.df < np.inf:
             raise InvalidInnovationSpec(
-                f"fourth-plus-delta moment not guaranteed: need df > "
+                f"fourth-plus-delta moment not guaranteed: need finite df > "
                 f"{STUDENT_T_MIN_DF}, got {spec.df}")
         return spec
     if spec.kind == "two-point-mixture":
@@ -180,7 +180,7 @@ def validate_spec(spec: InnovationSpec) -> InnovationSpec:
         if not 0.0 < spec.w < 1.0:
             raise InvalidInnovationSpec("mixture weight must lie in (0, 1)")
         m2 = spec.w * spec.a ** 2 + (1.0 - spec.w) * spec.b ** 2
-        if abs(m2 - 1.0) > 1e-12:
+        if not abs(m2 - 1.0) <= 1e-12:     # NaN included
             raise InvalidInnovationSpec(
                 f"unit variance violated: w*a^2 + (1-w)*b^2 = {m2!r}")
         if spec.a ** 2 == spec.b ** 2:

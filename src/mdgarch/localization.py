@@ -45,12 +45,14 @@ class LocalizationScheme:
     kappa: float = 0.5
 
     def __post_init__(self):
-        if self.omega <= 0.0:
-            raise InfeasibleScheme("omega must be > 0")
-        if self.sigma0_sq <= 0.0:
-            raise InfeasibleScheme("sigma0_sq must be > 0")
-        if self.c_alpha <= 0.0:
-            raise InfeasibleScheme("c_alpha must be > 0")
+        if not 0.0 < self.omega < math.inf:
+            raise InfeasibleScheme("omega must be finite and > 0")
+        if not 0.0 < self.sigma0_sq < math.inf:
+            raise InfeasibleScheme("sigma0_sq must be finite and > 0")
+        if not 0.0 < self.c_alpha < math.inf:
+            raise InfeasibleScheme("c_alpha must be finite and > 0")
+        if not math.isfinite(self.c_gamma):
+            raise InfeasibleScheme("c_gamma must be finite")
         if not 0.0 < self.p < 1.0:
             raise InfeasibleScheme("p must lie in (0, 1)")
         if self.c_gamma != 0.0 and not 0.0 < self.kappa < 1.0:

@@ -108,17 +108,24 @@ def _expm1_minus_x(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-class DecompositionOverflow(ArithmeticError):
+class NumericalBreakdown(ArithmeticError):
+    """A result lost all its significant digits or left the float range:
+    `where` names the step, `why` what was lost and `row` the first failed
+    row of the batch (None if none; a caller that ran it at an offset
+    adds the offset)."""
+
+    def __init__(self, where: str, row: Optional[int], why: str):
+        self.where, self.row, self.why = where, row, why
+
+    def __str__(self) -> str:
+        row = "" if self.row is None else f", replication {self.row}"
+        return f"{self.where}{row}: {self.why}"
+
+
+class DecompositionOverflow(NumericalBreakdown):
     """A classical decomposition component is not representable: the
     first is sigma_0^2 times the product of the k factors, which
-    overflows on explosive rows.  `row` is the first such row."""
-
-    def __init__(self, k: int, row: int, what: str = "row"):
-        super().__init__(
-            f"classical decomposition overflows at k={k}, {what} {row}: a "
-            "component exceeds the float range; literal mode keeps the "
-            "components as log magnitudes")
-        self.k, self.row = k, row
+    overflows on explosive rows."""
 
 
 @dataclass
@@ -269,7 +276,10 @@ def decompose_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
                                  r1, r2_max, r2_lil_max, r3_rel_max)))):
         comps = (first(lp), component(i2), component(i3), component(i4))
         if mode == CLASSICAL and not all(map(math.isfinite, comps)):
-            raise DecompositionOverflow(k, row)
+            raise DecompositionOverflow(
+                f"classical decomposition overflows at k={k}", row,
+                "a component exceeds the float range; literal mode keeps "
+                "the components as log magnitudes")
         reports.append(DecompositionReport(k, mode, comps, *remainders,
                                            prefactor_log=pre))
     return reports

@@ -28,14 +28,14 @@ import numpy as np
 
 from .localization import GarchParams, Regime, classify_regime
 from .simulate import (CLASSICAL, LITERAL, MODES, GarchPath,
-                       _decompose_weights)
+                       NumericalBreakdown, _decompose_weights)
 
 
 class WrongRegime(ValueError):
     pass
 
 
-class CancellationError(ArithmeticError):
+class CancellationError(NumericalBreakdown):
     """Raised when a centered difference loses more than 10 digits."""
 
 
@@ -170,25 +170,6 @@ def _require(params: GarchParams, regime: Regime) -> None:
         raise WrongRegime(f"statistic requires {regime.value}, got {actual.value}")
 
 
-def _log_centered_diff(log_ratio: np.ndarray, log_center: float
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """e^{log_ratio} - e^{log_center} as (log magnitude, sign).
-
-    Evaluated as -e^{L} expm1(C - L) around the larger exponent, which
-    keeps full relative accuracy when both terms are huge.  Raises when
-    the relative difference drops below 1e-10 (all digits lost).
-    """
-    hi = np.maximum(log_ratio, log_center)
-    rel = -_libm(math.expm1, np.minimum(log_ratio, log_center) - hi)
-    lost = rel < 1e-10
-    if lost.any():
-        raise CancellationError(
-            f"centered difference lost all significant digits "
-            f"(relative gap {rel[lost][0]:.3e})")
-    return (hi + _libm(math.log, rel),
-            np.where(log_ratio > log_center, 1.0, -1.0))
-
-
 # ---------------------------------------------------------------------------
 # near-stationary regime (gamma < 0); n is unused, the normalization
 # depends on gamma_n only
@@ -310,18 +291,24 @@ def ne_volatility_stats(sigma_k_sq: np.ndarray,
     lhs = (sigma_k_sq[lin] / w if log_sigma_k_sq is None
            else _libm(math.exp, L[lin]))
     diff = lhs - geometric_exp_sum(g, k)
-    nz = diff != 0.0
-    if (np.abs(diff[nz]) < 1e-10 * _libm(
-            math.exp, np.maximum(L[lin][nz], log_center))).any():
+    # the relative gap 1 - e^{lo - hi}, accurate also when both terms are
+    # huge: under 1e-10 all digits are lost, unless the difference is 0
+    hi = np.maximum(L, log_center)
+    rel = -_libm(math.expm1, np.minimum(L, log_center) - hi)
+    lost = rel < 1e-10
+    lost[lin] &= diff != 0.0
+    if lost.any():
+        row = int(np.argmax(lost))
         raise CancellationError(
-            "centered difference lost all significant digits")
+            f"checkpoint k={k}", row, f"centered difference lost all "
+            f"significant digits (relative gap {rel[row]:.3e})")
     plain = _plain(np.copysign(_libm(math.exp, log_pref + _log_abs(diff)),
                                diff))
     value[lin], log_mag[lin], sign[lin] = \
         plain.value, plain.log_magnitude, plain.sign
     # otherwise centre in log space
-    log_diff, sign[~lin] = _log_centered_diff(L[~lin], log_center)
-    log_mag[~lin] = log_pref + log_diff
+    log_mag[~lin] = log_pref + (hi[~lin] + _libm(math.log, rel[~lin]))
+    sign[~lin] = np.where(L[~lin] > log_center, 1.0, -1.0)
     value[~lin] = sign[~lin] * _libm(math.exp, log_mag[~lin])
     return StatArray(value, log_mag, sign, np.zeros(L.shape, dtype=bool))
 

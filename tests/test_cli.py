@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdgarch
-from mdgarch import cli, harness
+from mdgarch import cli, gof, harness
 from mdgarch.cli import main
 from mdgarch.innovations import InnovationSpec, RngStream
 from mdgarch.localization import LocalizationScheme, Regime, realize_params
@@ -104,7 +104,8 @@ class TestVerify:
 
         def vol_stats(sigma_k_sq, log_sigma_k_sq, params, n, k, *args):
             if k == 800:
-                raise CancellationError("centered difference lost all "
+                raise CancellationError(f"checkpoint k={k}", 0,
+                                        "centered difference lost all "
                                         "significant digits")
             return spec.vol_stats(sigma_k_sq, log_sigma_k_sq, params, n, k,
                                   *args)
@@ -137,8 +138,12 @@ class TestVerify:
 
         def vol_stats(sigma_k_sq, log_sigma_k_sq, params, n, k, *args):
             if k == 800 and (sigma_k_sq == target).any():
-                raise CancellationError("centered difference lost all "
-                                        "significant digits")
+                # the batch row of replication 37, as ne_volatility_stats
+                # names its first cancelling row
+                raise CancellationError(
+                    f"checkpoint k={k}",
+                    int(np.flatnonzero(sigma_k_sq == target)[0]),
+                    "centered difference lost all significant digits")
             return spec.vol_stats(sigma_k_sq, log_sigma_k_sq, params, n, k,
                                   *args)
 
@@ -147,6 +152,22 @@ class TestVerify:
         out = tmp_path / "out"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
         assert "checkpoint k=800, replication 37:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_constant_independence_column_exit_3(self, tmp_path, capsys):
+        # on this explosive scheme every replication reads the same
+        # statistic at all four checkpoints (sigma^2 is lost against the
+        # centring), so the increments have no correlation to test: a
+        # numerical breakdown, not a configuration error (2)
+        scheme = {"omega": 1.0, "sigma0_sq": 1.0, "c_alpha": 6.0, "p": 0.5,
+                  "c_gamma": 2.0, "kappa": 0.2}
+        cfg = write_config(tmp_path / "c.json", n=20000, reps=200,
+                           seed=20260823, extra={"scheme": scheme})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "error: numerical breakdown: independence of the increments, " \
+            "checkpoint k=8000: the column is constant" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("c_gamma", [1e-20, 5e-324, -5e-324])
@@ -333,13 +354,14 @@ class TestInternalError:
     def fault(*args):
         raise KeyError("injected")
 
-    def check(self, command, tmp_path, capsys):
+    def check(self, command, tmp_path, capsys,
+              raised="KeyError: 'injected'"):
         cfg = write_config(tmp_path / "c.json", n=400, reps=120)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert "error: internal error" in err
-        assert "Traceback" in err and "KeyError: 'injected'" in err
+        assert "Traceback" in err and raised in err
         assert not out.exists()
 
     def test_verify_exit_4(self, tmp_path, capsys, monkeypatch):
@@ -350,6 +372,15 @@ class TestInternalError:
         # the fault comes after diagnostics.json's text is built
         monkeypatch.setattr(cli, "_qq_csv", self.fault)
         self.check("diagnose", tmp_path, capsys)
+
+    def test_mid_run_value_error_exit_4(self, tmp_path, capsys, monkeypatch):
+        # a ValueError from inside a run is a fault, not a configuration
+        # error (2)
+        def fault(*args):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(gof, "ks_one_sample", fault)
+        self.check("verify", tmp_path, capsys, "ValueError: injected")
 
 
 # c_gamma's sign picks the regime, each with the diagnostics a sweep
@@ -468,6 +499,51 @@ class TestMalformedConfig:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "run.tests must be a list" in err and "'v'" not in err
+
+
+class TestRefusedBeforeDrawing:
+    """A config that no run can honour exits 2 before the first draw,
+    never through an exception from inside the run."""
+
+    @staticmethod
+    def no_draws(*args):
+        raise AssertionError("drew innovations")
+
+    @pytest.mark.parametrize("command,edit,flags,message", [
+        ("verify", _set("run", "n", math.inf), [], "invalid config"),
+        ("verify", _set("run", "reps", "REPS"), [], "invalid config"),
+        ("verify", _set("run", "master_seed", -1), [], "master_seed"),
+        ("verify", lambda doc: _set("run", "reps", 5)(
+            _set("run", "tests", ["independence"])(doc)), [],
+         "independence test needs reps >= 10"),
+        ("verify", _innovation(kind="student-t-normalized", df=math.inf), [],
+         "finite df"),
+        ("verify", _innovation(kind="student-t-normalized", df=math.nan), [],
+         "finite df"),
+        ("verify", _innovation(kind="two-point-mixture", a=math.nan,
+                               b=math.sqrt(1.75), w=0.5), [], "unit variance"),
+        ("sweep", _set("run", "tests", ["remainders"]),
+         ["--n-grid", "1000,x"], "--n-grid"),
+        ("verify", _set("scheme", "omega", math.nan), [], "omega"),
+        ("verify", _set("scheme", "sigma0_sq", math.inf), [], "sigma0_sq"),
+        ("verify", _set("scheme", "c_alpha", math.nan), [], "c_alpha"),
+        ("diagnose", _set("scheme", "c_gamma", math.inf), [], "c_gamma"),
+    ], ids=["n-infinite", "reps-1e400", "seed-negative", "independence-reps-5",
+            "df-infinite", "df-nan", "mixture-a-nan", "n-grid-not-integer",
+            "omega-nan", "sigma0_sq-infinite", "c_alpha-nan",
+            "c_gamma-infinite"])
+    def test_exit_2(self, tmp_path, capsys, monkeypatch, command, edit, flags,
+                    message):
+        monkeypatch.setattr(harness, "stream_generators", self.no_draws)
+        cfg = write_config(tmp_path / "c.json", n=400, reps=120)
+        # 1e400 has no JSON spelling of its own; it parses as infinity
+        cfg.write_text(json.dumps(edit(json.loads(cfg.read_text())))
+                       .replace('"REPS"', "1e400"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]
+                    + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_verify_imports_neither_scipy_nor_concurrent_futures(tmp_path):

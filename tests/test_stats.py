@@ -458,16 +458,26 @@ class TestArrayForms:
                                  at(log_abs_u, i)) for i in idx])
 
     def test_cancelling_element_fails_the_batch(self):
+        # the exception names the checkpoint and the first cancelling row
         k = 1000
         center = NE.omega * geometric_exp_sum(NE.gamma_n, k)
         sigma = np.array([2.0 * center, center * (1.0 + 1e-13), 0.5 * center])
-        with pytest.raises(CancellationError):
+        with pytest.raises(CancellationError) as info:
             ne_volatility_stats(sigma, None, NE, 5000, k, 2.0)
+        assert info.value.row == 1
+        assert str(info.value).startswith("checkpoint k=1000, replication 1:")
+        # an exact 0 on the linear scale keeps its value and is passed over
+        assert float(ne_volatility_stat(center, NE, 5000, k, 2.0)) == 0.0
+        with pytest.raises(CancellationError) as info:
+            ne_volatility_stats(np.array([2.0 * center, center, sigma[1]]),
+                                None, NE, 5000, k, 2.0)
+        assert info.value.row == 2
         # the same in log space, where the centre exceeds e^700
         k = 4500
         log_center = log_geometric_exp_sum(NE_WIDE.gamma_n, k)
         assert log_center > 700.0
         log_sigma = np.array([log_center + 1.0, log_center, log_center - 1.0])
-        with pytest.raises(CancellationError):
+        with pytest.raises(CancellationError) as info:
             ne_volatility_stats(np.full(3, math.inf), log_sigma, NE_WIDE,
                                 5000, k, 2.0)
+        assert info.value.row == 1
