@@ -10,7 +10,10 @@ replication and streams its innovations through the kernel in time
 blocks: each block is drawn into one reused (rows, columns) buffer and
 advances the recursion's state (``kernels.Recursion``), and only the
 checkpoint columns (sigma^2, log sigma^2 and eps_k) are kept.  A block
-has at least ``TIME_BLOCK`` columns, more in chunks of few rows.
+has at least ``TIME_BLOCK`` columns, more in chunks of few rows.  No
+statistic reads an innovation past the last checkpoint k, so the kernel
+pass draws and steps the columns [0, k] only; n still sets alpha_n,
+beta_n and every normalization.
 
 The path diagnostics (lemma, tau, decomposition), which read the
 innovations [0, k_diag) of each replication, are a pass of their own
@@ -34,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 import mmap
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -160,16 +164,31 @@ class McConfig:
             return McConfig(
                 scheme=LocalizationScheme.from_config(cfg["scheme"]),
                 innovation=InnovationSpec.from_config(cfg["innovation"]),
-                n=int(run["n"]),
+                n=_run_value(run, "n", int),
                 grid=CheckpointGrid(tuple(cfg["grid"]["t_values"])),
-                reps=int(run["reps"]),
-                master_seed=int(run["master_seed"]),
+                reps=_run_value(run, "reps", int),
+                master_seed=_run_value(run, "master_seed", int),
                 mode=run.get("mode", McConfig.mode),
                 tests=tuple(tests),
-                level=float(run.get("level", McConfig.level)),
+                level=_run_value(run, "level", float, McConfig.level),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"invalid config: {exc}") from exc
+
+
+def _run_value(run: dict, key: str, kind: type, default=None):
+    """run[key] (default when it is absent and not None) as kind, the
+    key named when refused.  An int takes an integral float (JSON may
+    spell 1e5), never a fraction, a non-finite number or a string."""
+    value = run[key] if default is None else run.get(key, default)
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    try:
+        return float(value) if kind is float else operator.index(value)
+    except (TypeError, ValueError):
+        what = "a number" if kind is float else "an integer"
+        raise ConfigurationError(
+            f"run.{key} must be {what}, got {value!r}") from None
 
 
 @dataclass
@@ -287,6 +306,7 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
     spec = REGIMES[regime]
     n, reps, mode = config.n, config.reps, config.mode
     ks = config.grid.checkpoints(n)
+    last = ks[-1]  # no statistic reads an innovation past it
     xi_var = xi_second_moment(config.innovation)
     k_diag = diag_checkpoint(n)
 
@@ -349,13 +369,13 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
             gens = stream_generators(config.master_seed, start, rows)
             map_row_blocks(diagnose, rows, diag_rows)
         gens = stream_generators(config.master_seed, start, rows)
-        rec = Recursion(rows, n, params.omega, params.alpha_n, params.beta_n,
-                        params.sigma0_sq, ks)
+        rec = Recursion(rows, last, params.omega, params.alpha_n,
+                        params.beta_n, params.sigma0_sq, ks)
         eps_k = np.empty((rows, len(ks)))
         width = max(TIME_BLOCK, BLOCK_DRAWS // rows)
-        held = _row_array(rows, min(width, n + 1))
-        for a in range(0, n + 1, width):
-            block = held[:, :min(width, n + 1 - a)]
+        held = _row_array(rows, min(width, last + 1))
+        for a in range(0, last + 1, width):
+            block = held[:, :min(width, last + 1 - a)]
             map_row_blocks(draw, rows, max(1, DRAW_SLICE // block.shape[1]))
             rec.advance(block, a)
             m, j = rec.kept(a, a + block.shape[1])

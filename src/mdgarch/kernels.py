@@ -13,13 +13,14 @@ A row block steps through one loop over sub-blocks of its time block:
 ``BLOCK`` steps each when it has several rows, the whole time block
 when it has one.  Only the linear step differs by row count.  Several
 rows run time-major: the factors ``alpha*(e*e) + beta`` as a (steps,
-rows) array, each step an in-place multiply and add on one contiguous
-row.  One row runs a plain Python-float loop, since per-step numpy
-dispatch on length-1 arrays costs far more than the arithmetic.  Every
-sub-block then ends the same way: it detects new overflows (and stores
-log sigma^2 just before each), copies out only the kept columns with
-their ``np.log``, and runs exact ``logaddexp`` log-space steps for the
-rows that have overflowed, from their first overflow on.
+rows) array (copied from the time block in tiles of ``BLOCK`` rows),
+each step an in-place multiply and add on one contiguous row.  One row
+runs a plain Python-float loop, since per-step numpy dispatch on
+length-1 arrays costs far more than the arithmetic.  Every sub-block
+then ends the same way: it detects new overflows (and stores log
+sigma^2 just before each), copies out only the kept columns with their
+``np.log``, and runs exact ``logaddexp`` log-space steps for the rows
+that have overflowed, from their first overflow on.
 
 Rows are independent, so ``advance`` splits a batch into at most
 ``WORKERS`` contiguous row blocks of at least ``KERNEL_MIN_ROWS`` rows
@@ -187,7 +188,11 @@ class Recursion:
                     cur = omega + (alpha * (e * e) + beta) * cur
                     out[i] = cur
             else:
-                np.copyto(block, block_eps.T)
+                # in tiles of BLOCK rows: the transposing copy reads one
+                # cache line per row and step, and the lines of over about
+                # a thousand rows spill out of L1 and the TLB
+                for r in range(0, len(eps), BLOCK):
+                    np.copyto(block[:, r:r + BLOCK], block_eps[r:r + BLOCK].T)
                 # overflow to inf (and 0 * inf = nan) is expected on
                 # explosive paths; the log-space steps carry the exact value
                 with np.errstate(over="ignore", invalid="ignore"):

@@ -510,9 +510,21 @@ class TestRefusedBeforeDrawing:
         raise AssertionError("drew innovations")
 
     @pytest.mark.parametrize("command,edit,flags,message", [
-        ("verify", _set("run", "n", math.inf), [], "invalid config"),
-        ("verify", _set("run", "reps", "REPS"), [], "invalid config"),
+        ("verify", _set("run", "n", math.inf), [],
+         "invalid config: run.n must be an integer, got inf"),
+        ("verify", _set("run", "reps", "REPS"), [],
+         "invalid config: run.reps must be an integer, got inf"),
         ("verify", _set("run", "master_seed", -1), [], "master_seed"),
+        ("verify", _set("run", "n", 1000.7), [],
+         "run.n must be an integer, got 1000.7"),
+        ("sweep", _set("run", "reps", 120.5), ["--n-grid", "400,800,1600"],
+         "run.reps must be an integer, got 120.5"),
+        ("verify", _set("run", "master_seed", 7.25), [],
+         "run.master_seed must be an integer, got 7.25"),
+        ("diagnose", _set("run", "n", "400"), [],
+         "run.n must be an integer, got '400'"),
+        ("verify", _set("run", "level", "tight"), [],
+         "run.level must be a number, got 'tight'"),
         ("verify", lambda doc: _set("run", "reps", 5)(
             _set("run", "tests", ["independence"])(doc)), [],
          "independence test needs reps >= 10"),
@@ -528,7 +540,9 @@ class TestRefusedBeforeDrawing:
         ("verify", _set("scheme", "sigma0_sq", math.inf), [], "sigma0_sq"),
         ("verify", _set("scheme", "c_alpha", math.nan), [], "c_alpha"),
         ("diagnose", _set("scheme", "c_gamma", math.inf), [], "c_gamma"),
-    ], ids=["n-infinite", "reps-1e400", "seed-negative", "independence-reps-5",
+    ], ids=["n-infinite", "reps-1e400", "seed-negative", "n-fraction",
+            "reps-fraction", "seed-fraction", "n-string", "level-string",
+            "independence-reps-5",
             "df-infinite", "df-nan", "mixture-a-nan", "n-grid-not-integer",
             "omega-nan", "sigma0_sq-infinite", "c_alpha-nan",
             "c_gamma-infinite"])

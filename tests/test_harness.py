@@ -1,3 +1,4 @@
+import functools
 import sys
 import threading
 from types import SimpleNamespace
@@ -14,8 +15,8 @@ from mdgarch.harness import (ConfigurationError, McConfig, McReport,
 from mdgarch.innovations import InnovationSpec, RngStream
 from mdgarch.kernels import recursion_batch
 from mdgarch.localization import LocalizationScheme, realize_params
-from mdgarch.simulate import CLASSICAL, LITERAL, MODES
-from mdgarch.stats import CheckpointGrid
+from mdgarch.simulate import CLASSICAL, LITERAL, MODES, simulate_path
+from mdgarch.stats import CheckpointGrid, checkpoint_returns
 
 NORMAL = InnovationSpec(kind="standard-normal")
 T8 = InnovationSpec(kind="student-t-normalized", df=8.0)
@@ -114,6 +115,13 @@ class TestConfigSerialization:
         cfg = McConfig.from_config(doc)
         assert cfg.mode == "classical"
         assert cfg.level == DEFAULT_LEVEL
+
+    def test_integral_float_counts_as_integer(self):
+        # JSON may spell n = 2000 as 2e3
+        doc = ns_config().to_config()
+        doc["run"]["n"] = 2e3
+        cfg = McConfig.from_config(doc)
+        assert cfg == ns_config() and type(cfg.n) is int
 
 
 class TestRunExperiment:
@@ -354,6 +362,75 @@ def test_overflow_scheme_overflows_across_time_blocks():
     assert (t0 > 0).all() and len({(t - 1) // 7 for t in t0}) > 1
     for cols in (300, harness.TIME_BLOCK):
         assert all(0 < (t - 1) % cols < cols - 1 for t in t0)
+
+
+class TestLastCheckpoint:
+    """The harness draws and steps each replication only up to its last
+    checkpoint; every statistic is still that of the whole path."""
+
+    # sigma^2 overflows before the last checkpoint (k = 16000) in some rows
+    OVERFLOWING = ns_scheme(c_alpha=6.0, c_gamma=2.0, kappa=0.2)
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def reference_paths(scheme, n, ks):
+        """sigma^2, log sigma^2 and eps at ks, and the first overflow, of
+        simulate_path for replications 0..29 at seed 7 (the whole path)"""
+        paths = [simulate_path(realize_params(scheme, n), NORMAL,
+                               RngStream(7, i)) for i in range(30)]
+        return [(p.sigma_sq[list(ks)], p.log_sigma_sq[list(ks)],
+                 p.eps[list(ks)], p.overflow_at) for p in paths]
+
+    @pytest.mark.parametrize("cols", [None, 64], ids=["one-block", "64-cols"])
+    @pytest.mark.parametrize("scheme,mode,n", [
+        (REGIME_SCHEMES["NS"], CLASSICAL, 400),
+        (REGIME_SCHEMES["INT"], CLASSICAL, 400),
+        (REGIME_SCHEMES["NE"], CLASSICAL, 400),
+        (REGIME_SCHEMES["NE"], LITERAL, 400),
+        (OVERFLOWING, CLASSICAL, 20000)],
+        ids=["NS", "INT", "NE", "NE-literal", "NE-overflow"])
+    def test_statistics_of_whole_paths(self, monkeypatch, scheme, mode, n,
+                                       cols):
+        config = ns_config(scheme=scheme, n=n, reps=30, mode=mode, tests=())
+        if cols:
+            # at n = 400 the last time block holds eps_320 alone, and the
+            # kernel takes no step in it
+            monkeypatch.setattr(harness, "BLOCK_DRAWS", 0)
+            monkeypatch.setattr(harness, "TIME_BLOCK", cols)
+        rep = run_experiment(config)
+        params = realize_params(scheme, n)
+        spec = harness.REGIMES[harness.classify_regime(params)]
+        xi_var = harness.xi_second_moment(NORMAL)
+        paths = self.reference_paths(scheme, n, rep.checkpoints)
+        for i, (sigma_sq, log_sigma_sq, eps, _) in enumerate(paths):
+            for m, k in enumerate(rep.checkpoints):
+                s, ls = sigma_sq[m:m + 1], log_sigma_sq[m:m + 1]
+                vol = spec.vol_stats(s, ls, params, n, k, xi_var, mode)
+                ret = spec.ret_stats(
+                    *checkpoint_returns(s, ls, eps[m:m + 1]), params, k, mode)
+                assert rep.vol_stats[i, m].tobytes() == vol.value.tobytes()
+                assert rep.ret_stats[i, m].tobytes() == ret.value.tobytes()
+        overflowed = any(0 < t0 <= rep.checkpoints[-1] for *_, t0 in paths)
+        assert overflowed == (scheme is self.OVERFLOWING)
+
+    @pytest.mark.parametrize("tests", [(), DIAGNOSTICS["NE"]],
+                             ids=["verify", "diagnostics"])
+    def test_draw_count(self, monkeypatch, tests):
+        drawn = []
+
+        def counting(spec, count, *args, **kwargs):
+            drawn.append(count)   # list.append is atomic across threads
+            return real(spec, count, *args, **kwargs)
+
+        real = harness.sample_innovations
+        monkeypatch.setattr(harness, "sample_innovations", counting)
+        config = ns_config(scheme=REGIME_SCHEMES["NE"], n=400, reps=30,
+                           tests=tests)
+        rep = run_experiment(config)
+        want = config.reps * (rep.checkpoints[-1] + 1)
+        if tests:
+            want += config.reps * diag_checkpoint(config.n)
+        assert sum(drawn) == want
 
 
 class TestSweep:
