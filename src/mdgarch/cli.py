@@ -4,8 +4,8 @@ Subcommands: simulate, verify, diagnose, sweep.  Exit codes: 0 all
 enabled statistical tests pass, 1 a statistical test fails, 2 a usage
 or configuration error (refused before any draw) or a run too large for
 memory, 3 a numerical breakdown: cancellation, a decomposition overflow
-or a constant independence column (named by checkpoint k and any first
-failed replication), 4 an internal error: any other exception, a fault
+or a constant column of a requested test (named by checkpoint k and any
+first failed replication), 4 an internal error: any other exception, a fault
 in the program, with its traceback.  verify, diagnose and sweep build
 every output before writing the first, so a run that raises writes none.
 All numeric file output is printed with 17 significant digits and is

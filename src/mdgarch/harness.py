@@ -395,6 +395,7 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
         del held, block
     if vol_shift != 0.0:
         vol = vol + vol_shift
+    _refuse_constant_column(config, spec, ks, vol, ret)
 
     results: Dict[str, dict] = {}
     if "vol_gof" in config.tests:
@@ -402,7 +403,7 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
     if "ret_gof" in config.tests:
         results["ret_gof"] = _ret_gof(config, ks, ret)
     if "independence" in config.tests:
-        results["independence"] = _independence(config, spec, ks, vol)
+        results["independence"] = _independence(config, spec, vol)
     if lemma_vals is not None:
         results["lemma"] = {"k": k_diag, "mean": _sorted_mean(lemma_vals),
                             "pass": True}
@@ -484,18 +485,38 @@ def _ret_gof(config: McConfig, ks, ret) -> dict:
             "pass": all(e["pass"] for e in per)}
 
 
-def _independence(config: McConfig, spec: RegimeSpec, ks, vol) -> dict:
+def _refuse_constant_column(config: McConfig, spec: RegimeSpec, ks, vol,
+                            ret) -> None:
+    """Raise NumericalBreakdown for the first constant column a
+    requested test reads (the independence basis first, then vol_gof's,
+    then ret_gof's): every replication read the same value there, so the
+    column carries no path information to test."""
+    basis = spec.independence_basis
+    columns = []
+    if "independence" in config.tests:
+        matrix = vol if basis == "statistics" else np.diff(vol, axis=1)
+        if matrix.shape[1] >= 2:  # one column has nothing to correlate
+            # an increment is named by the checkpoint it ends at
+            columns.append((f"independence of the {basis}", matrix,
+                            ks[basis == "increments":]))
+    columns += [(test, stats, ks) for test, stats in
+                (("vol_gof", vol), ("ret_gof", ret)) if test in config.tests]
+    for where, matrix, at in columns:
+        # not std == 0: the mean of equal values may round off them
+        constant = np.flatnonzero((matrix == matrix[0]).all(axis=0))
+        if constant.size:
+            k = at[constant[0]]
+            raise NumericalBreakdown(f"{where}, checkpoint k={k}", None,
+                                     "the column is constant")
+
+
+def _independence(config: McConfig, spec: RegimeSpec, vol) -> dict:
     basis = spec.independence_basis
     matrix = vol if basis == "statistics" else np.diff(vol, axis=1)
     if matrix.shape[1] < 2:
         return {"basis": basis, "max_abs_corr": 0.0,
                 "threshold": independence_threshold(config.reps),
                 "pass": True}
-    constant = np.flatnonzero(matrix.std(axis=0) == 0.0)
-    if constant.size:  # an increment is named by the checkpoint it ends at
-        k = ks[constant[0] + (basis == "increments")]
-        raise NumericalBreakdown(f"independence of the {basis}, checkpoint "
-                                 f"k={k}", None, "the column is constant")
     max_corr = gof.max_offdiag_abs_correlation(matrix)
     thr = independence_threshold(config.reps)
     return {"basis": basis, "max_abs_corr": max_corr, "threshold": thr,

@@ -11,16 +11,17 @@ kept, so the innovations can be drawn and dropped block by block.
 
 A row block steps through one loop over sub-blocks of its time block:
 ``BLOCK`` steps each when it has several rows, the whole time block
-when it has one.  Only the linear step differs by row count.  Several
-rows run time-major: the factors ``alpha*(e*e) + beta`` as a (steps,
-rows) array (copied from the time block in tiles of ``BLOCK`` rows),
-each step an in-place multiply and add on one contiguous row.  One row
-runs a plain Python-float loop, since per-step numpy dispatch on
-length-1 arrays costs far more than the arithmetic.  Every sub-block
-then ends the same way: it detects new overflows (and stores log
-sigma^2 just before each), copies out only the kept columns with their
-``np.log``, and runs exact ``logaddexp`` log-space steps for the rows
-that have overflowed, from their first overflow on.
+when it has one.  numpy computes the factors ``alpha*(e*e) + beta`` as a
+(steps, rows) array, copied from the time block in tiles of ``BLOCK``
+rows; only the linear step differs by row count.  Several rows run
+time-major, an in-place multiply and add (omega a float64 array) per
+step on one contiguous row.  One row runs one Python-float multiply-add
+per step, since per-step numpy dispatch on length-1 arrays costs far
+more than the arithmetic.  Every sub-block then ends the same way: it
+detects new overflows (and stores log sigma^2 just before each), copies
+out only the kept columns with their ``np.log``, and runs exact
+``logaddexp`` log-space steps for the rows that have overflowed, from
+their first overflow on.
 
 Rows are independent, so ``advance`` splits a batch into at most
 ``WORKERS`` contiguous row blocks of at least ``KERNEL_MIN_ROWS`` rows
@@ -174,35 +175,35 @@ class Recursion:
         # one row takes the whole block at once: see the loop below
         size = m if len(eps) == 1 else BLOCK
         factors = np.empty((min(size, m), len(eps)))
+        omega_arr = np.array(omega)  # numpy's Python-float path is slower
         for j in range(0, m, size):
             t = a + 1 + j   # the step of the sub-block's first row
             block = factors[:min(size, m - j)]
             block_eps = eps[:, j:j + len(block)]
-            if len(eps) == 1:
-                # per-step numpy dispatch on length-1 arrays costs far more
-                # than the arithmetic: a Python-float loop through
-                # memoryviews, bit for bit the same (inf and nan included)
-                out = memoryview(block[:, 0])
-                cur = float(prev[0])
-                for i, e in enumerate(memoryview(block_eps[0])):
-                    cur = omega + (alpha * (e * e) + beta) * cur
-                    out[i] = cur
-            else:
-                # in tiles of BLOCK rows: the transposing copy reads one
-                # cache line per row and step, and the lines of over about
-                # a thousand rows spill out of L1 and the TLB
-                for r in range(0, len(eps), BLOCK):
-                    np.copyto(block[:, r:r + BLOCK], block_eps[r:r + BLOCK].T)
-                # overflow to inf (and 0 * inf = nan) is expected on
-                # explosive paths; the log-space steps carry the exact value
-                with np.errstate(over="ignore", invalid="ignore"):
-                    block *= block
-                    block *= alpha
-                    block += beta
+            # in tiles of BLOCK rows: the transposing copy reads one cache
+            # line per row and step, and the lines of over about a
+            # thousand rows spill out of L1 and the TLB
+            for r in range(0, len(eps), BLOCK):
+                np.copyto(block[:, r:r + BLOCK], block_eps[r:r + BLOCK].T)
+            # overflow to inf (and 0 * inf = nan) is expected on explosive
+            # paths; the log-space steps carry the exact value
+            with np.errstate(over="ignore", invalid="ignore"):
+                block *= block
+                block *= alpha
+                block += beta
+                if len(eps) == 1:
+                    # numpy dispatch per step costs far more than the
+                    # arithmetic: bit for bit the same, inf and nan included
+                    out = memoryview(block[:, 0])
+                    cur = float(prev[0])
+                    for i, f in enumerate(out):
+                        cur = f * cur + omega
+                        out[i] = cur
+                else:
                     row = prev
                     for cur in block:
                         cur *= row
-                        cur += omega
+                        cur += omega_arr
                         row = cur
             # a non-finite sigma^2 stays non-finite, so the sub-block's
             # last row shows every overflow

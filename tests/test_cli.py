@@ -170,6 +170,40 @@ class TestVerify:
             "checkpoint k=8000: the column is constant" in err
         assert not out.exists()
 
+    def test_constant_gof_column_exit_3(self, tmp_path, capsys):
+        # the same scheme without the independence test: the KS test of a
+        # column that holds one value would read a large D and exit 1
+        scheme = {"omega": 1.0, "sigma0_sq": 1.0, "c_alpha": 6.0, "p": 0.5,
+                  "c_gamma": 2.0, "kappa": 0.2}
+        cfg = write_config(tmp_path / "c.json", n=20000, reps=200,
+                           seed=20260823, tests=["vol_gof"],
+                           extra={"scheme": scheme})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "error: numerical breakdown: vol_gof, checkpoint k=4000: " \
+            "the column is constant" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_constant_return_column_exit_3(self, tmp_path, capsys,
+                                           monkeypatch):
+        # a zero return at k = 1200 in every replication: ret_gof's column
+        # there is constant, vol_gof's are not
+        spec = harness.REGIMES[Regime.NEAR_STATIONARY]
+
+        def ret_stats(u_k, log_abs_u, params, k, *args):
+            return spec.ret_stats(u_k * 0.0 if k == 1200 else u_k, log_abs_u,
+                                  params, k, *args)
+
+        monkeypatch.setitem(harness.REGIMES, Regime.NEAR_STATIONARY,
+                            dataclasses.replace(spec, ret_stats=ret_stats))
+        cfg = write_config(tmp_path / "c.json", n=2000, reps=200, seed=7,
+                           tests=["vol_gof", "ret_gof"])
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "error: numerical breakdown: ret_gof, checkpoint k=1200: " \
+            "the column is constant" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("c_gamma", [1e-20, 5e-324, -5e-324])
     def test_gamma_lost_in_beta_exit_2(self, tmp_path, capsys, c_gamma):
         # the scheme cannot carry its regime at n = 10: a configuration

@@ -16,7 +16,8 @@ from mdgarch.innovations import InnovationSpec, RngStream
 from mdgarch.kernels import recursion_batch
 from mdgarch.localization import LocalizationScheme, realize_params
 from mdgarch.simulate import CLASSICAL, LITERAL, MODES, simulate_path
-from mdgarch.stats import CheckpointGrid, checkpoint_returns
+from mdgarch.stats import (CheckpointGrid, checkpoint_returns,
+                           geometric_exp_sum)
 
 NORMAL = InnovationSpec(kind="standard-normal")
 T8 = InnovationSpec(kind="student-t-normalized", df=8.0)
@@ -431,6 +432,30 @@ class TestLastCheckpoint:
         if tests:
             want += config.reps * diag_checkpoint(config.n)
         assert sum(drawn) == want
+
+
+@pytest.mark.parametrize("p", [0.5, 0.7])
+def test_ns_volatility_mean_offset(p):
+    # pins measured behaviour, not criterion 2: the classical NS
+    # statistic centres sigma_k^2 / omega on sum_{j=1}^{k-1} e^{j gamma},
+    # while its mean is sum_{j<k} (1+gamma)^j + (1+gamma)^k sigma0^2/omega
+    # (E eps^2 = 1); the mean of the statistic is that gap times its
+    # prefactor, which tends to
+    # (|c_gamma|^{3/2} / (2 c_alpha)) n^{p - 3 kappa/2} for normal eps
+    config = ns_config(scheme=ns_scheme(p=p), n=10 ** 4, reps=2000,
+                       master_seed=20260823, tests=("vol_gof",))
+    rep = run_experiment(config)
+    params = realize_params(config.scheme, config.n)
+    a, g = params.alpha_n, params.gamma_n
+    pref = np.sqrt(2.0 * abs(g) ** 3 / harness.xi_second_moment(NORMAL)) / a
+    for m, k in enumerate(rep.checkpoints):
+        growth = (1.0 + g) ** k
+        mean = ((growth - 1.0) / g
+                + growth * params.sigma0_sq / params.omega)
+        offset = pref * (mean - geometric_exp_sum(g, k))
+        col = rep.vol_stats[:, m]
+        se = col.std() / np.sqrt(config.reps)
+        assert abs(col.mean() - offset) < 4.0 * se, (k, col.mean(), offset)
 
 
 class TestSweep:
