@@ -19,10 +19,11 @@ The path diagnostics (lemma, tau, decomposition), which read the
 innovations [0, k_diag) of each replication, are a pass of their own
 before the kernel pass: they re-seed the chunk's generators and redraw
 [0, k_diag) for a block of ``DIAG_BLOCK // k_diag`` rows at a time into
-(rows, k_diag) arrays that each thread allocates once per run.  That
-costs k_diag more draws per replication and holds no (rows, k_diag)
-window, so memory scales with the rows times the block width, never
-with rows x n.
+(rows, k_diag) arrays that each thread maps on its first block and
+reuses.  That costs k_diag more draws per replication and holds no
+(rows, k_diag) window, so memory scales with the rows times the block
+width, never with rows x n.  The arrays are unmapped when the pass
+ends, so the kernel pass never holds them beside its time block.
 
 Sampling (a slice of a time block's rows each), the kernel and the path
 diagnostics (one diagnostic block each) run over row blocks of a chunk,
@@ -64,9 +65,10 @@ GOF_TESTS = frozenset({"vol_gof", "ret_gof"})
 # diagnostic checkpoint for lemma / remainder / tau sweeps
 DIAG_FRACTION = 0.8
 # the path diagnostics run over blocks of replications whose (rows, k)
-# arrays (six per thread, reused from block to block: the redrawn
-# innovations, xi, its prefix sums and the decomposition's temporaries)
-# hold about this many doubles (256 KiB) each
+# arrays (six per thread in one memory map, reused from block to block
+# of a chunk's diagnostics pass: the redrawn innovations, xi, its prefix
+# sums and the decomposition's temporaries) hold about this many doubles
+# (256 KiB) each
 DIAG_BLOCK = 2 ** 15
 # a chunk's time block holds at most this many innovations (320 MB) at
 # TIME_BLOCK columns; that bounds the rows per chunk
@@ -231,10 +233,11 @@ class McReport:
         if self.vol_stats is None:
             raise ValueError("raw statistics were not retained")
         lines = ["rep,checkpoint_k,vol_stat,ret_stat"]
-        for i in range(self.vol_stats.shape[0]):
-            for m, k in enumerate(self.checkpoints):
-                lines.append("%d,%d,%.17g,%.17g" % (
-                    i, k, self.vol_stats[i, m], self.ret_stats[i, m]))
+        # Python floats format as their numpy scalars do, and faster
+        for i, (vols, rets) in enumerate(zip(self.vol_stats.tolist(),
+                                             self.ret_stats.tolist())):
+            for k, v, r in zip(self.checkpoints, vols, rets):
+                lines.append("%d,%d,%.17g,%.17g" % (i, k, v, r))
         return "\n".join(lines) + "\n"
 
 
@@ -317,7 +320,7 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
     decomps = [None] * reps if "remainders" in config.tests else None
     vol, ret = np.empty((reps, len(ks))), np.empty((reps, len(ks)))
     # the diagnostics' (diag_rows, k_diag) arrays, one set per thread: a
-    # diagnostic block takes a free set or allocates one, and returns it
+    # diagnostic block takes a free set or maps one, and returns it
     spare = []
 
     # the helpers below read the current chunk: replications start + i,
@@ -333,7 +336,7 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
         try:
             work = spare.pop()
         except IndexError:
-            work = np.empty((6, diag_rows, k_diag))
+            work = _row_array(6 * diag_rows, k_diag).reshape(6, diag_rows, -1)
         eps, xi_rev, s, *temps = work[:, :rows.stop - rows.start]
         for i, row in enumerate(eps, start=rows.start):
             sample_innovations(config.innovation, k_diag, gens[i], out=row)
@@ -341,7 +344,8 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
         np.square(eps[:, ::-1], out=xi_rev)
         xi_rev -= 1.0
         xi = xi_rev[:, ::-1]
-        np.cumsum(xi_rev, axis=1, out=s)
+        for xi_row, s_row in zip(xi_rev, s):  # 1-D: cumsum drops the GIL
+            np.cumsum(xi_row, out=s_row)
         block = slice(start + rows.start, start + rows.stop)
         if lemma_vals is not None:
             lemma_vals[block] = lemma_rows(xi, params, k_diag, mode, s=s)
@@ -368,6 +372,7 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
         if need_paths:
             gens = stream_generators(config.master_seed, start, rows)
             map_row_blocks(diagnose, rows, diag_rows)
+            spare.clear()  # unmaps the windows before the kernel pass
         gens = stream_generators(config.master_seed, start, rows)
         rec = Recursion(rows, last, params.omega, params.alpha_n,
                         params.beta_n, params.sigma0_sq, ks)

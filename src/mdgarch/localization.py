@@ -117,6 +117,14 @@ class AssumptionReport:
     The analytic verdicts come from exponent arithmetic (convergence can
     never be confirmed from finitely many n); the grid rows are for
     display and trend sanity checks.
+
+    ns_centering_offset_vanishes is a verdict of its own beside the coded
+    near-stationary condition, whose n^{1/4} form is literal mode's.  It
+    holds when p < 3 kappa / 2, that is |gamma_n|^{3/2} / alpha_n -> 0,
+    and ensures that the classical centering offset vanishes: the mean
+    of the classical near-stationary volatility statistic, about
+    (|c_gamma|^{3/2} / (2 c_alpha)) n^{p - 3 kappa / 2} for normal
+    innovations, tends to 0.
     """
 
     n_grid: tuple
@@ -124,6 +132,7 @@ class AssumptionReport:
     regime: Regime
     rate_bound_holds: bool          # alpha log log n -> 0 and n alpha -> inf
     ns_rate_condition_holds: bool   # only meaningful when near-stationary
+    ns_centering_offset_vanishes: bool  # p < 3 kappa / 2
     ne_rate_condition_holds: bool   # only meaningful when near-explosive
 
 
@@ -156,5 +165,6 @@ def check_assumptions(scheme: LocalizationScheme,
         n_grid=tuple(n_grid), rows=tuple(rows), regime=regime,
         rate_bound_holds=rate_bound,
         ns_rate_condition_holds=ns_ok,
+        ns_centering_offset_vanishes=p < 1.5 * k,
         ne_rate_condition_holds=ne_ok,
     )

@@ -222,8 +222,12 @@ def decompose_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
         np.log1p(x, out=log1p_x)
         # R3, the product-form log remainder: cumulative log(1+x) - x
         r3 = np.subtract(log1p_x, x, out=x)
-        np.cumsum(r3, axis=1, out=r3)
-    log_prod = np.cumsum(log1p_x, axis=1, out=log1p_x)[:, -1].copy()
+        # row by row: numpy's cumsum releases the GIL on 1-D arrays only
+        for row in r3:
+            np.cumsum(row, out=row)
+    for row in log1p_x:
+        np.cumsum(row, out=row)
+    log_prod = log1p_x[:, -1].copy()
     r2 = _expm1_minus_x(a_s, out=log1p_x)
 
     np.abs(r2, out=scratch)

@@ -1,6 +1,8 @@
 import functools
+import mmap
 import sys
 import threading
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -432,6 +434,57 @@ class TestLastCheckpoint:
         if tests:
             want += config.reps * diag_checkpoint(config.n)
         assert sum(drawn) == want
+
+
+def test_no_diagnostics_window_outlives_its_pass(monkeypatch):
+    # each thread's diagnostic arrays live in an anonymous map of their
+    # own, and no view of them is left when the kernel pass starts, so
+    # their pages are back with the system before it maps its time block
+    windows = []  # (weakref to the outermost array of s, mapped)
+    live = []     # windows alive at each kernel pass
+
+    def recording(xi, params, k, mode, s=None):
+        outer = s
+        while isinstance(outer.base, np.ndarray):
+            outer = outer.base
+        mapped = isinstance(getattr(outer.base, "obj", None), mmap.mmap)
+        windows.append((weakref.ref(outer), mapped))
+        return real(xi, params, k, mode, s=s)
+
+    class Counting(harness.Recursion):
+        def __init__(self, *args):
+            live.append(sum(ref() is not None for ref, _ in windows))
+            super().__init__(*args)
+
+    real = harness.lemma_rows
+    monkeypatch.setattr(harness, "lemma_rows", recording)
+    monkeypatch.setattr(harness, "Recursion", Counting)
+    run_experiment(ns_config(scheme=REGIME_SCHEMES["NE"], n=50000, reps=20,
+                             tests=DIAGNOSTICS["NE"]))
+    assert len(windows) == 20  # one row a block at k = 40000
+    assert live == [0]
+    assert all(mapped for _, mapped in windows)
+
+
+def test_stats_csv_formats_special_values():
+    # the Python floats of tolist() print as numpy's float64 scalars do
+    vol = np.array([[0.0, 5e-324, 1e308, np.inf, np.nan],
+                    [-0.0, -5e-324, -1e308, -np.inf, -np.nan]])
+    rep = McReport(config={}, regime="", checkpoints=(1, 2, 3, 4, 5),
+                   results={}, moments=(), master_seed=0, verdict=True,
+                   vol_stats=vol, ret_stats=vol[::-1])
+    assert rep.stats_csv() == (
+        "rep,checkpoint_k,vol_stat,ret_stat\n"
+        "0,1,0,-0\n"
+        "0,2,4.9406564584124654e-324,-4.9406564584124654e-324\n"
+        "0,3,1e+308,-1e+308\n"
+        "0,4,inf,-inf\n"
+        "0,5,nan,nan\n"
+        "1,1,-0,0\n"
+        "1,2,-4.9406564584124654e-324,4.9406564584124654e-324\n"
+        "1,3,-1e+308,1e+308\n"
+        "1,4,-inf,inf\n"
+        "1,5,nan,nan\n")
 
 
 @pytest.mark.parametrize("p", [0.5, 0.7])

@@ -131,6 +131,19 @@ class TestAssumptions:
         rep = check_assumptions(scheme(p=0.5, c_gamma=1.0, kappa=0.6), GRID)
         assert rep.ne_rate_condition_holds
 
+    @pytest.mark.parametrize("p,vanishes", [(0.4, True), (0.5, True),
+                                            (0.7, False)])
+    def test_ns_centering_offset_vanishes(self, p, vanishes):
+        # p < 3 kappa / 2 = 0.6: the classical centering offset, of order
+        # n^{p - 3 kappa / 2}, vanishes, whatever the coded NS condition
+        rep = check_assumptions(scheme(p=p, kappa=0.4), GRID)
+        assert rep.ns_centering_offset_vanishes is vanishes
+
+    def test_acceptance_ns_centering_offset_vanishes(self):
+        rep = check_assumptions(scheme(), GRID)  # p 0.5, kappa 0.4
+        assert rep.ns_rate_condition_holds
+        assert rep.ns_centering_offset_vanishes
+
     def test_a2_always_for_valid_p(self):
         assert check_assumptions(scheme(), GRID).rate_bound_holds
 
@@ -166,4 +179,5 @@ class TestAssumptions:
         assert rep.rate_bound_holds == (0.0 < p < 1.0)
         assert rep.ns_rate_condition_holds == \
             (kappa / 2.0 + 0.25 < p < 1.5 * kappa + 0.25)
+        assert rep.ns_centering_offset_vanishes == (p < 1.5 * kappa)
         assert rep.ne_rate_condition_holds == (kappa > p)
