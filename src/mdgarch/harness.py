@@ -5,15 +5,16 @@ report is a pure function of the config and seed; every reduction sorts
 its inputs first, which makes the result independent of replication
 order and hence of any scheduling.
 
-Replications run in chunks of rows.  A chunk keeps one generator per
-replication and streams its innovations through the kernel in time
-blocks: each block is drawn into one reused (rows, columns) buffer and
-advances the recursion's state (``kernels.Recursion``), and only the
-checkpoint columns (sigma^2, log sigma^2 and eps_k) are kept.  A block
-has at least ``TIME_BLOCK`` columns, more in chunks of few rows.  No
-statistic reads an innovation past the last checkpoint k, so the kernel
-pass draws and steps the columns [0, k] only; n still sets alpha_n,
-beta_n and every normalization.
+Replications run in chunks of at most ``CHUNK_ROWS`` rows.  A chunk
+keeps one generator per replication and streams its innovations through
+the kernel in time blocks: each block is drawn into one reused (rows,
+columns) buffer and advances the recursion's state
+(``kernels.Recursion``), and only the checkpoint columns (sigma^2, log
+sigma^2 and eps_k) are kept.  The blocks split [0, k] evenly, each of
+about ``BLOCK_DRAWS`` innovations (``_block_width``), a rule of the rows
+and k alone.  No statistic reads an innovation past the last checkpoint
+k, so the kernel pass draws and steps the columns [0, k] only; n still
+sets alpha_n, beta_n and every normalization.
 
 The path diagnostics (lemma, tau, decomposition), which read the
 innovations [0, k_diag) of each replication, are a pass of their own
@@ -25,12 +26,12 @@ reuses.  That costs k_diag more draws per replication and holds no
 width, never with rows x n.  The arrays are unmapped when the pass
 ends, so the kernel pass never holds them beside its time block.
 
-Sampling (a slice of a time block's rows each), the kernel and the path
-diagnostics (one diagnostic block each) run over row blocks of a chunk,
-shared by as many threads as the CPUs the process may use
-(``kernels.map_row_blocks``); each replication is computed the same way
-in any row block, time block and thread, so the report bytes depend on
-neither the worker count nor the block sizes.
+Sampling (a slice of a time block's rows each) and the path diagnostics
+(one diagnostic block each) run over row blocks of a chunk, shared by as
+many threads as the CPUs the process may use (``kernels.map_row_blocks``);
+the kernel runs on the calling thread.  Each replication is computed the
+same way in any chunk, row block, time block and thread, so the report
+bytes depend on neither the worker count nor the block sizes.
 """
 
 from __future__ import annotations
@@ -70,19 +71,13 @@ DIAG_FRACTION = 0.8
 # sums and the decomposition's temporaries) hold about this many doubles
 # (256 KiB) each
 DIAG_BLOCK = 2 ** 15
-# a chunk's time block holds at most this many innovations (320 MB) at
-# TIME_BLOCK columns; that bounds the rows per chunk
-CHUNK = 4 * 10 ** 7
-# innovation columns drawn and stepped per time block: at least
-# TIME_BLOCK, and about BLOCK_DRAWS innovations (16 MB) in chunks of
-# fewer than BLOCK_DRAWS // TIME_BLOCK rows.  Drawing a block costs a
-# GIL-held call per replication: two sampling threads drew 2000 x 5001
-# innovations in 0.18 s in blocks of 1024 columns and in 0.46 s in
-# blocks of 512, and run_experiment at n = 1e5 x 500 rows without path
-# diagnostics took 2.41 s in blocks of 1024 columns against 2.03 s in
-# blocks of 4096 (2-vCPU host)
-TIME_BLOCK = 1024
-BLOCK_DRAWS = 2 * 10 ** 6
+# replications per chunk.  The kernel steps a chunk on one thread at
+# 3.5 ns per row and step with 500 rows, 3.2-3.4 ns with 1000-2000 and
+# 6.1 ns with 250 (2-vCPU host): more rows step no cheaper
+CHUNK_ROWS = 500
+# a chunk draws and steps [0, last] in equal time blocks of about this
+# many innovations (8 MB): see _block_width
+BLOCK_DRAWS = 10 ** 6
 # sampling threads take a time block's rows in slices of about this many
 # innovations; one row at a time, the two threads queued on the slice
 # lock and the GIL (0.18 s against 0.16 s for slices of 16 rows)
@@ -366,9 +361,8 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
                 raise
         spare.append(work)
 
-    chunk = max(1, CHUNK // TIME_BLOCK)
-    for start in range(0, reps, chunk):
-        rows = min(chunk, reps - start)
+    for start in range(0, reps, CHUNK_ROWS):
+        rows = min(CHUNK_ROWS, reps - start)
         if need_paths:
             gens = stream_generators(config.master_seed, start, rows)
             map_row_blocks(diagnose, rows, diag_rows)
@@ -377,8 +371,8 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
         rec = Recursion(rows, last, params.omega, params.alpha_n,
                         params.beta_n, params.sigma0_sq, ks)
         eps_k = np.empty((rows, len(ks)))
-        width = max(TIME_BLOCK, BLOCK_DRAWS // rows)
-        held = _row_array(rows, min(width, last + 1))
+        width = _block_width(rows, last)
+        held = _row_array(rows, width)
         for a in range(0, last + 1, width):
             block = held[:, :min(width, last + 1 - a)]
             map_row_blocks(draw, rows, max(1, DRAW_SLICE // block.shape[1]))
@@ -443,14 +437,25 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
                     vol_stats=vol, ret_stats=ret, decompositions=decomps)
 
 
+def _block_width(rows: int, last: int) -> int:
+    """Columns of a chunk's time blocks: [0, last] in the fewest equal
+    blocks of at most about BLOCK_DRAWS innovations, the last block
+    narrower.  Each block costs a GIL-held draw call per replication:
+    two threads drawing 8e6 normals in calls of 2048-4096 ran 1.5-1.8x
+    as fast as one, of 512 0.75-0.89x (2-vCPU host), so a wide block of
+    few rows beats a narrow block of many."""
+    blocks = max(1, -(-rows * last // BLOCK_DRAWS))
+    return -(-(last + 1) // blocks)
+
+
 def _row_array(rows: int, cols: int) -> np.ndarray:
     """A zeroed (rows, cols) view whose row stride is an odd number of
     64-byte cache lines, in its own anonymous memory map.
 
     The kernel reads a time block down its columns; with a row stride of
-    TIME_BLOCK doubles, a power of two, every row of a column falls in
-    the same cache set, and stepping 2000 x 5000 innovations through
-    1024-column blocks took 1.6x as long.  The map bypasses malloc:
+    a power of two doubles, every row of a column falls in the same
+    cache set, and stepping 2000 x 5000 innovations through 1024-column
+    blocks took 1.6x as long.  The map bypasses malloc:
     glibc raises its mmap threshold to the size of any mapped block it
     frees (up to 32 MiB), and the heap then keeps blocks below that size
     that it would have returned to the system."""

@@ -9,7 +9,7 @@ overflowed, and both tracks at the kept time indices.  Only those are
 kept, so the innovations can be drawn and dropped block by block.
 ``recursion_batch`` is the case of one block holding the whole path.
 
-A row block steps through one loop over sub-blocks of its time block:
+A batch steps through one loop over sub-blocks of its time block:
 ``BLOCK`` steps each when it has several rows, the whole time block
 when it has one.  numpy computes the factors ``alpha*(e*e) + beta`` as a
 (steps, rows) array, copied from the time block in tiles of ``BLOCK``
@@ -23,14 +23,15 @@ out only the kept columns with their ``np.log``, and runs exact
 ``logaddexp`` log-space steps for the rows that have overflowed, from
 their first overflow on.
 
-Rows are independent, so ``advance`` splits a batch into at most
-``WORKERS`` contiguous row blocks of at least ``KERNEL_MIN_ROWS`` rows
-and runs them in up to ``WORKERS`` threads (``map_row_blocks``); numpy's
-loops release the GIL, so the blocks overlap on separate cores.
-``WORKERS`` is the number of CPUs this process may run on; it is not an
-option.  Each row's arithmetic is the same whichever row block and time
-block it lands in, so the outputs depend on neither the worker count nor
-the time blocks.
+``advance`` runs on the calling thread.  Each per-step numpy call spans
+every row of the batch, and numpy releases the GIL only in loops of more
+than 500 elements; even split over two threads, 2000 x 4000 innovations
+stepped no faster (22.6-30.5 ms on one thread, 26.4-37.0 ms wall and
+39.8-57.6 ms CPU on two; 2-vCPU host).  ``map_row_blocks`` runs the
+harness's sampling and path diagnostics over row blocks in up to
+``WORKERS`` threads, the number of CPUs this process may run on; it is
+not an option.  Each row's arithmetic is the same whichever time block
+it lands in, so the outputs do not depend on the time blocks.
 
 Contract: on all three outputs (linear track, log track, overflow
 index) ``recursion_batch`` is bit-identical to the step-by-step loop
@@ -55,12 +56,6 @@ BLOCK = 256
 #: threads run at once by map_row_blocks: the CPUs this process may use
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
-
-#: fewest rows in a kernel row block.  numpy releases the GIL only in
-#: ufunc loops over more than 500 elements, and each per-step call of the
-#: kernel spans one block's rows; smaller blocks in threads only queue for
-#: the GIL (300 rows split in two ran 1.6x slower on a 2-vCPU host)
-KERNEL_MIN_ROWS = 501
 
 
 def map_row_blocks(fn: Callable[[slice], object], rows: int,
@@ -152,10 +147,7 @@ class Recursion:
         m = min(eps.shape[1], self.n - a)
         if m <= 0:
             return
-        reps = len(self.prev)
-        blocks = max(1, min(WORKERS, reps // KERNEL_MIN_ROWS))
-        map_row_blocks(lambda rows: self._advance_rows(eps[rows, :m], a, rows),
-                       reps, max(1, -(-reps // blocks)))
+        self._advance_rows(eps[:, :m], a)
 
     def kept(self, lo: int, hi: int):
         """(positions in keep, offsets from lo) of the kept time indices
@@ -165,11 +157,10 @@ class Recursion:
         k = np.flatnonzero((self.cols >= lo) & (self.cols < hi))
         return k, self.cols[k] - lo
 
-    def _advance_rows(self, eps, a, rows):
-        # slices of the state arrays are views: a row block writes its own
-        prev, overflow_at, sigma_sq, log_sigma_sq, log_prev = (
-            x[rows] for x in (self.prev, self.overflow_at, self.sigma_sq,
-                              self.log_sigma_sq, self.log_prev))
+    def _advance_rows(self, eps, a):
+        prev, overflow_at, log_prev = (self.prev, self.overflow_at,
+                                       self.log_prev)
+        sigma_sq, log_sigma_sq = self.sigma_sq, self.log_sigma_sq
         omega, alpha, beta, sigma0_sq = self.params
         m = eps.shape[1]
         # one row takes the whole block at once: see the loop below

@@ -124,10 +124,9 @@ class TestVerify:
         # only replication 37 cancels at k = 800; the chunk's batch
         # raises, and the message names the checkpoint and that
         # replication, also when it lies in a later chunk (a verify chunk
-        # holds CHUNK // TIME_BLOCK rows)
+        # holds CHUNK_ROWS rows)
         if chunk_rows is not None:
-            monkeypatch.setattr(harness, "CHUNK",
-                                chunk_rows * harness.TIME_BLOCK)
+            monkeypatch.setattr(harness, "CHUNK_ROWS", chunk_rows)
         cfg = write_config(tmp_path / "c.json", n=2000, reps=200, seed=7)
         doc = json.loads(cfg.read_text())
         params = realize_params(LocalizationScheme.from_config(doc["scheme"]),

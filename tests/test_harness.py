@@ -204,14 +204,12 @@ def report_bytes(config):
 
 
 class TestWorkerCount:
-    """Reports do not depend on how many row blocks run at once.  One-row
-    kernel blocks are allowed here, so the kernel splits these small
-    batches too."""
+    """Reports do not depend on how many row blocks of the sampling and
+    the path diagnostics run at once."""
 
     @staticmethod
     def outputs(monkeypatch, config, workers):
         monkeypatch.setattr(kernels, "WORKERS", workers)
-        monkeypatch.setattr(kernels, "KERNEL_MIN_ROWS", 1)
         return report_bytes(config)
 
     @pytest.mark.parametrize("innovation", [NORMAL, T8], ids=["normal", "t8"])
@@ -296,12 +294,11 @@ def test_chunk_size_leaves_reports_unchanged(monkeypatch, regime, mode,
                                              tests):
     config = ns_config(scheme=REGIME_SCHEMES[regime], n=400, reps=120,
                        mode=mode, tests=tests)
-    # a chunk's rows hold CHUNK innovations in a time block of TIME_BLOCK
-    # columns, with path diagnostics or without
-    assert harness.CHUNK // harness.TIME_BLOCK >= config.reps
+    # a chunk holds CHUNK_ROWS rows, with path diagnostics or without
+    assert harness.CHUNK_ROWS >= config.reps
     want = report_bytes(config)
     for rows in (1, 7, 50):
-        monkeypatch.setattr(harness, "CHUNK", rows * harness.TIME_BLOCK)
+        monkeypatch.setattr(harness, "CHUNK_ROWS", rows)
         assert report_bytes(config) == want
 
 
@@ -348,22 +345,22 @@ def test_time_block_leaves_reports_unchanged(monkeypatch, scheme, mode,
                        mode=mode, tests=tests)
     # by default a chunk of so few rows runs the whole path as one block
     want = report_bytes(config)
-    monkeypatch.setattr(harness, "BLOCK_DRAWS", 0)
     for cols in (1, 7, 300):
-        monkeypatch.setattr(harness, "TIME_BLOCK", cols)
+        monkeypatch.setattr(harness, "_block_width", lambda rows, last: cols)
         assert report_bytes(config) == want
 
 
 def test_overflow_scheme_overflows_across_time_blocks():
     # the rows of OVERFLOW_NE first overflow in different 7-column blocks
-    # and inside (not at either end of) a 300- or 1024-column block
+    # and inside (not at either end of) a 300-column block and the
+    # default block of 40 rows (the whole path [0, 1600])
     params = realize_params(OVERFLOW_NE, 2000)
     eps = np.stack([RngStream(7, i).generator().standard_normal(2001)
                     for i in range(40)])
     t0 = recursion_batch(eps, params.omega, params.alpha_n, params.beta_n,
                          params.sigma0_sq, keep=[0])[2]
     assert (t0 > 0).all() and len({(t - 1) // 7 for t in t0}) > 1
-    for cols in (300, harness.TIME_BLOCK):
+    for cols in (300, harness._block_width(40, 1600)):
         assert all(0 < (t - 1) % cols < cols - 1 for t in t0)
 
 
@@ -398,8 +395,8 @@ class TestLastCheckpoint:
         if cols:
             # at n = 400 the last time block holds eps_320 alone, and the
             # kernel takes no step in it
-            monkeypatch.setattr(harness, "BLOCK_DRAWS", 0)
-            monkeypatch.setattr(harness, "TIME_BLOCK", cols)
+            monkeypatch.setattr(harness, "_block_width",
+                                lambda rows, last: cols)
         rep = run_experiment(config)
         params = realize_params(scheme, n)
         spec = harness.REGIMES[harness.classify_regime(params)]
@@ -464,6 +461,52 @@ def test_no_diagnostics_window_outlives_its_pass(monkeypatch):
     assert len(windows) == 20  # one row a block at k = 40000
     assert live == [0]
     assert all(mapped for _, mapped in windows)
+
+
+class TestChunkShape:
+    """The kernel pass runs chunks of at most CHUNK_ROWS rows on the
+    calling thread, in time blocks of about BLOCK_DRAWS innovations set
+    by the rows and the last checkpoint alone."""
+
+    def test_acceptance_shape(self, monkeypatch):
+        rows, threads, counts = [], [], []
+
+        class Recording(harness.Recursion):
+            def __init__(self, reps, *args):
+                rows.append(reps)
+                super().__init__(reps, *args)
+
+            def _advance_rows(self, eps, a):
+                threads.append(threading.get_ident())
+                super()._advance_rows(eps, a)
+
+        def counting(spec, count, *args, **kwargs):
+            counts.append(count)  # list.append is atomic across threads
+            return real(spec, count, *args, **kwargs)
+
+        real = harness.sample_innovations
+        monkeypatch.setattr(kernels, "WORKERS", 2)  # sampling threads
+        monkeypatch.setattr(harness, "Recursion", Recording)
+        monkeypatch.setattr(harness, "sample_innovations", counting)
+        run_experiment(ns_config(n=5000, reps=2000))
+        assert rows == [harness.CHUNK_ROWS] * 4
+        assert len(threads) == 8
+        assert set(threads) == {threading.get_ident()}
+        # [0, 4000] in two blocks of 2001 and 2000 columns
+        assert sorted(counts) == [2000] * 2000 + [2001] * 2000
+
+    @pytest.mark.parametrize("reps", [1, 7, 499, 500, 501, 2000, 123457])
+    @pytest.mark.parametrize("n", [20, 400, 5000, 10 ** 5, 10 ** 6])
+    def test_block_rule(self, reps, n):
+        last = GRID.checkpoints(n)[-1]
+        for start in range(0, reps, harness.CHUNK_ROWS):
+            rows = min(harness.CHUNK_ROWS, reps - start)
+            width = harness._block_width(rows, last)
+            assert rows * width <= harness.BLOCK_DRAWS + rows
+            widths = [min(width, last + 1 - a)
+                      for a in range(0, last + 1, width)]
+            assert set(widths[:-1]) <= {width}
+            assert 1 <= widths[-1] <= width
 
 
 def test_stats_csv_formats_special_values():

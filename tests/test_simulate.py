@@ -387,13 +387,10 @@ class TestRowBlocks:
                                              3 * BLOCK + 7]])
     def test_kernel_independent_of_workers(self, monkeypatch, workers, reps,
                                            keep):
-        # with one-row blocks allowed, 3 rows under 2 workers hold a
-        # one-row block and under 7 fewer rows than workers; rows 0,
-        # reps // 2 and reps - 1 overflow (in the first, a middle and the
-        # last time block), which is the first, a middle and the last row
-        # block under 3 and 7 workers
+        # the kernel runs on the calling thread whatever WORKERS says;
+        # rows 0, reps // 2 and reps - 1 overflow, in the first, a middle
+        # and the last of its sub-blocks
         monkeypatch.setattr(kernels, "WORKERS", workers)
-        monkeypatch.setattr(kernels, "KERNEL_MIN_ROWS", 1)
         n = 3 * BLOCK + 7
         eps = RngStream(7, 5).generator().standard_normal((reps, n + 1))
         spikes = dict(zip((0, reps // 2, reps - 1),
@@ -404,24 +401,11 @@ class TestRowBlocks:
         got = assert_matches_loop(eps, 1.0, 2.0, 0.0, 1.0, keep)
         assert list(got[2]) == [spikes.get(r, -1) for r in range(reps)]
 
-    def test_kernel_blocks_hold_more_than_500_rows(self, monkeypatch):
-        monkeypatch.setattr(kernels, "WORKERS", 3)
-        seen = []
-
-        def record(fn, rows, block_rows=1):
-            seen.append(block_rows)
-            return map_row_blocks(fn, rows, block_rows)
-
-        monkeypatch.setattr(kernels, "map_row_blocks", record)
-        for reps in (1, 1001, 1002, 5000):
-            recursion_batch(np.zeros((reps, 3)), 1.0, 0.05, 0.9, 1.0)
-        assert seen == [1, 1001, 501, 1667]
-
     @pytest.mark.parametrize("workers", [2, 3])
     def test_kernel_splits_large_batches(self, monkeypatch, workers):
+        # over 1000 rows step as one batch on the calling thread
         monkeypatch.setattr(kernels, "WORKERS", workers)
-        eps = RngStream(7, 6).generator().standard_normal(
-            (workers * kernels.KERNEL_MIN_ROWS + 1, 41))
+        eps = RngStream(7, 6).generator().standard_normal((1503, 41))
         eps[-1, 3] = 1e154
         got = assert_matches_loop(eps, 1.0, 2.0, 0.0, 1.0, [0, 10, 40])
         assert np.flatnonzero(got[2] >= 0).tolist() == [len(eps) - 1]
