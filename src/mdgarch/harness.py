@@ -5,26 +5,29 @@ report is a pure function of the config and seed; every reduction sorts
 its inputs first, which makes the result independent of replication
 order and hence of any scheduling.
 
-Replications run in chunks of at most ``CHUNK_ROWS`` rows.  A chunk
-keeps one generator per replication and streams its innovations through
-the kernel in time blocks: each block is drawn into one reused (rows,
-columns) buffer and advances the recursion's state
-(``kernels.Recursion``), and only the checkpoint columns (sigma^2, log
-sigma^2 and eps_k) are kept.  The blocks split [0, k] evenly, each of
-about ``BLOCK_DRAWS`` innovations (``_block_width``), a rule of the rows
-and k alone.  No statistic reads an innovation past the last checkpoint
-k, so the kernel pass draws and steps the columns [0, k] only; n still
-sets alpha_n, beta_n and every normalization.
+Replications run in chunks of at most ``CHUNK_ROWS`` rows, and each
+chunk runs two passes, functions of the config and its row range alone.
+The kernel pass (``_kernel_pass``) keeps one generator per replication
+and streams its innovations through the kernel in time blocks: each
+block is drawn into one reused (rows, columns) buffer and advances the
+recursion's state (``kernels.Recursion``), and only the checkpoint
+columns (sigma^2, log sigma^2 and eps_k) are kept.  The blocks split
+[0, k] evenly, each of about ``BLOCK_DRAWS`` innovations
+(``_block_width``), a rule of the rows and k alone.  No statistic reads
+an innovation past the last checkpoint k, so the kernel pass draws and
+steps the columns [0, k] only; n still sets alpha_n, beta_n and every
+normalization.
 
-The path diagnostics (lemma, tau, decomposition), which read the
-innovations [0, k_diag) of each replication, are a pass of their own
-before the kernel pass: they re-seed the chunk's generators and redraw
+The diagnostic pass (``_diagnostic_pass``: lemma, tau, decomposition),
+which reads the innovations [0, k_diag) of each replication, runs
+before the kernel pass: it re-seeds the chunk's generators and redraws
 [0, k_diag) for a block of ``DIAG_BLOCK // k_diag`` rows at a time into
 (rows, k_diag) arrays that each thread maps on its first block and
 reuses.  That costs k_diag more draws per replication and holds no
 (rows, k_diag) window, so memory scales with the rows times the block
-width, never with rows x n.  The arrays are unmapped when the pass
-ends, so the kernel pass never holds them beside its time block.
+width, never with rows x n.  Each pass owns its buffers, which are
+unmapped when it returns, so the kernel pass never holds the
+diagnostics' arrays beside its time block.
 
 Sampling (a slice of a time block's rows each) and the path diagnostics
 (one diagnostic block each) run over row blocks of a chunk, shared by as
@@ -304,85 +307,25 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
     spec = REGIMES[regime]
     n, reps, mode = config.n, config.reps, config.mode
     ks = config.grid.checkpoints(n)
-    last = ks[-1]  # no statistic reads an innovation past it
     xi_var = xi_second_moment(config.innovation)
     k_diag = diag_checkpoint(n)
 
-    need_paths = {"lemma", "remainders", "tau_coupling"} & set(config.tests)
-    diag_rows = max(1, DIAG_BLOCK // k_diag)
-    lemma_vals = np.empty(reps) if "lemma" in config.tests else None
-    tau_vals = np.empty(reps) if "tau_coupling" in config.tests else None
-    decomps = [None] * reps if "remainders" in config.tests else None
+    # per requested path diagnostic, its value for each replication
+    diag = {test: [] for test in ("lemma", "tau_coupling", "remainders")
+            if test in config.tests}
     vol, ret = np.empty((reps, len(ks))), np.empty((reps, len(ks)))
-    # the diagnostics' (diag_rows, k_diag) arrays, one set per thread: a
-    # diagnostic block takes a free set or maps one, and returns it
-    spare = []
-
-    # the helpers below read the current chunk: replications start + i,
-    # their generators, the current time block and the kept columns
-    def draw(rows):
-        for i in range(rows.start, rows.stop):
-            sample_innovations(config.innovation, block.shape[1], gens[i],
-                               out=block[i])
-
-    def diagnose(rows):
-        """The path diagnostics of chunk rows `rows`, from their
-        innovations [0, k_diag) redrawn from the chunk's generators."""
-        try:
-            work = spare.pop()
-        except IndexError:
-            work = _row_array(6 * diag_rows, k_diag).reshape(6, diag_rows, -1)
-        eps, xi_rev, s, *temps = work[:, :rows.stop - rows.start]
-        for i, row in enumerate(eps, start=rows.start):
-            sample_innovations(config.innovation, k_diag, gens[i], out=row)
-        # xi_{k-1}, ..., xi_0 and its prefix sums, shared by all three
-        np.square(eps[:, ::-1], out=xi_rev)
-        xi_rev -= 1.0
-        xi = xi_rev[:, ::-1]
-        for xi_row, s_row in zip(xi_rev, s):  # 1-D: cumsum drops the GIL
-            np.cumsum(xi_row, out=s_row)
-        block = slice(start + rows.start, start + rows.stop)
-        if lemma_vals is not None:
-            lemma_vals[block] = lemma_rows(xi, params, k_diag, mode, s=s)
-        if tau_vals is not None:
-            g = params.gamma_n
-            tau, tau_star = tau_rows(xi, params, k_diag, mode, s=s)
-            gap = (math.sqrt(2.0 * abs(g) ** 3) * tau_star
-                   - math.sqrt(2.0 * abs(g)) * tau)
-            # Python's float power; numpy's x * x differs in last bits
-            tau_vals[block] = [v ** 2 for v in gap.tolist()]
-        if decomps is not None:
-            try:
-                # eps, spent once squared, is the fourth temporary
-                decomps[block] = decompose_rows(xi, params, k_diag, mode,
-                                                s=s, work=temps + [eps])
-            except NumericalBreakdown as exc:
-                exc.row += block.start
-                raise
-        spare.append(work)
-
     for start in range(0, reps, CHUNK_ROWS):
         rows = min(CHUNK_ROWS, reps - start)
-        if need_paths:
-            gens = stream_generators(config.master_seed, start, rows)
-            map_row_blocks(diagnose, rows, diag_rows)
-            spare.clear()  # unmaps the windows before the kernel pass
-        gens = stream_generators(config.master_seed, start, rows)
-        rec = Recursion(rows, last, params.omega, params.alpha_n,
-                        params.beta_n, params.sigma0_sq, ks)
-        eps_k = np.empty((rows, len(ks)))
-        width = _block_width(rows, last)
-        held = _row_array(rows, width)
-        for a in range(0, last + 1, width):
-            block = held[:, :min(width, last + 1 - a)]
-            map_row_blocks(draw, rows, max(1, DRAW_SLICE // block.shape[1]))
-            rec.advance(block, a)
-            m, j = rec.kept(a, a + block.shape[1])
-            eps_k[:, m] = block[:, j]
         out = slice(start, start + rows)
         try:
+            if diag:
+                for test, values in _diagnostic_pass(config, params, k_diag,
+                                                     start, rows).items():
+                    diag[test] += values
+            sigma_sq, log_sigma_sq, eps_k, _ = _kernel_pass(config, params,
+                                                            ks, start, rows)
             for m, k in enumerate(ks):
-                s, ls = rec.sigma_sq[:, m], rec.log_sigma_sq[:, m]
+                s, ls = sigma_sq[:, m], log_sigma_sq[:, m]
                 vol[out, m] = spec.vol_stats(s, ls, params, n, k, xi_var,
                                              mode).value
                 ret[out, m] = spec.ret_stats(
@@ -391,7 +334,6 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
         except NumericalBreakdown as exc:
             exc.row += start
             raise
-        del held, block
     if vol_shift != 0.0:
         vol = vol + vol_shift
     _refuse_constant_column(config, spec, ks, vol, ret)
@@ -403,13 +345,14 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
         results["ret_gof"] = _ret_gof(config, ks, ret)
     if "independence" in config.tests:
         results["independence"] = _independence(config, spec, vol)
-    if lemma_vals is not None:
-        results["lemma"] = {"k": k_diag, "mean": _sorted_mean(lemma_vals),
+    if "lemma" in diag:
+        results["lemma"] = {"k": k_diag, "mean": _sorted_mean(diag["lemma"]),
                             "pass": True}
-    if tau_vals is not None:
-        results["tau_coupling"] = {"k": k_diag,
-                                   "estimate": _sorted_mean(tau_vals),
-                                   "pass": True}
+    if "tau_coupling" in diag:
+        results["tau_coupling"] = {
+            "k": k_diag, "estimate": _sorted_mean(diag["tau_coupling"]),
+            "pass": True}
+    decomps = diag.get("remainders")
     if decomps is not None:
         rem = np.array([(abs(d.r1), d.r2_max, d.r2_lil_max, d.r3_rel_max)
                         for d in decomps])
@@ -435,6 +378,85 @@ def run_experiment(config: McConfig, vol_shift: float = 0.0) -> McReport:
                     checkpoints=ks, results=results, moments=moments,
                     master_seed=config.master_seed, verdict=verdict,
                     vol_stats=vol, ret_stats=ret, decompositions=decomps)
+
+
+def _draw_rows(config: McConfig, gens: Sequence[np.random.Generator],
+               out: np.ndarray) -> None:
+    """Fill each row out[i] from gens[i], one draw call per row."""
+    for gen, row in zip(gens, out):
+        sample_innovations(config.innovation, out.shape[1], gen, out=row)
+
+
+def _kernel_pass(config: McConfig, params: GarchParams, ks: Sequence[int],
+                 start: int, rows: int):
+    """The kernel pass of replications start, ..., start + rows - 1:
+    (sigma_sq, log_sigma_sq, eps_k, overflow_at), the two tracks and the
+    innovations at ks, each (rows, len(ks)), and per row the first
+    t <= ks[-1] with non-finite sigma^2, or -1."""
+    last = ks[-1]  # no statistic reads an innovation past it
+    gens = stream_generators(config.master_seed, start, rows)
+    rec = Recursion(rows, last, params.omega, params.alpha_n, params.beta_n,
+                    params.sigma0_sq, ks)
+    eps_k = np.empty((rows, len(ks)))
+    width = _block_width(rows, last)
+    held = _row_array(rows, width)
+    for a in range(0, last + 1, width):
+        block = held[:, :min(width, last + 1 - a)]
+        map_row_blocks(lambda r: _draw_rows(config, gens[r], block[r]), rows,
+                       max(1, DRAW_SLICE // block.shape[1]))
+        rec.advance(block, a)
+        m, j = rec.kept(a, a + block.shape[1])
+        eps_k[:, m] = block[:, j]
+    return rec.sigma_sq, rec.log_sigma_sq, eps_k, rec.overflow_at
+
+
+def _diagnostic_pass(config: McConfig, params: GarchParams, k_diag: int,
+                     start: int, rows: int) -> Dict[str, list]:
+    """The diagnostic pass of replications start, ..., start + rows - 1
+    at k_diag: per requested test of "lemma", "tau_coupling" and
+    "remainders", one value per replication, in order (a
+    DecompositionReport for "remainders")."""
+    tests, mode = config.tests, config.mode
+    gens = stream_generators(config.master_seed, start, rows)
+    diag_rows = max(1, DIAG_BLOCK // k_diag)
+    spare = []  # free sets of work arrays; a thread takes one or maps one
+
+    def diagnose(part):
+        try:
+            work = spare.pop()
+        except IndexError:
+            work = _row_array(6 * diag_rows, k_diag).reshape(6, diag_rows, -1)
+        eps, xi_rev, s, *temps = work[:, :part.stop - part.start]
+        _draw_rows(config, gens[part], eps)
+        # xi_{k-1}, ..., xi_0 and its prefix sums, shared by all three
+        np.square(eps[:, ::-1], out=xi_rev)
+        xi_rev -= 1.0
+        xi = xi_rev[:, ::-1]
+        for xi_row, s_row in zip(xi_rev, s):  # 1-D: cumsum drops the GIL
+            np.cumsum(xi_row, out=s_row)
+        values = {}
+        if "lemma" in tests:
+            values["lemma"] = lemma_rows(xi, params, k_diag, mode, s=s)
+        if "tau_coupling" in tests:
+            g = params.gamma_n
+            tau, tau_star = tau_rows(xi, params, k_diag, mode, s=s)
+            gap = (math.sqrt(2.0 * abs(g) ** 3) * tau_star
+                   - math.sqrt(2.0 * abs(g)) * tau)
+            # Python's float power; numpy's x * x differs in last bits
+            values["tau_coupling"] = [v ** 2 for v in gap.tolist()]
+        if "remainders" in tests:
+            try:
+                # eps, spent once squared, is the fourth temporary
+                values["remainders"] = decompose_rows(
+                    xi, params, k_diag, mode, s=s, work=temps + [eps])
+            except NumericalBreakdown as exc:
+                exc.row += part.start
+                raise
+        spare.append(work)
+        return values
+
+    blocks = map_row_blocks(diagnose, rows, diag_rows)
+    return {test: [v for b in blocks for v in b[test]] for test in blocks[0]}
 
 
 def _block_width(rows: int, last: int) -> int:

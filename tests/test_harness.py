@@ -433,6 +433,71 @@ class TestLastCheckpoint:
         assert sum(drawn) == want
 
 
+class TestPasses:
+    """Each pass is a function of the config and its row range alone: a
+    range's rows equal the same rows of a longer range, bit for bit."""
+
+    @staticmethod
+    def passes(scheme, n, mode=CLASSICAL, tests=()):
+        config = ns_config(scheme=scheme, n=n, reps=50, mode=mode,
+                           tests=tests)
+        return config, validate_config(config), config.grid.checkpoints(n)
+
+    @pytest.mark.parametrize("scheme,n", [
+        (REGIME_SCHEMES["NS"], 400), (REGIME_SCHEMES["INT"], 400),
+        (REGIME_SCHEMES["NE"], 400), (OVERFLOW_NE, 2000)],
+        ids=["NS", "INT", "NE", "NE-overflow"])
+    def test_kernel_pass_rows(self, scheme, n):
+        config, params, ks = self.passes(scheme, n)
+        whole = harness._kernel_pass(config, params, ks, 0, 50)
+        part = harness._kernel_pass(config, params, ks, 37, 5)
+        assert len(part) == 4
+        for got, want in zip(part, whole):
+            assert got.tobytes() == want[37:42].tobytes()
+        # every row of the overflowing scheme overflows by k = 1600
+        assert (part[3] > 0).all() == (scheme is OVERFLOW_NE)
+
+    @pytest.mark.parametrize("diag_rows", [None, 3], ids=["default", "3-rows"])
+    @pytest.mark.parametrize("regime,mode", [
+        ("NE", CLASSICAL), ("NE", LITERAL), ("NS", CLASSICAL)])
+    def test_diagnostic_pass_rows(self, monkeypatch, regime, mode,
+                                  diag_rows):
+        config, params, _ = self.passes(REGIME_SCHEMES[regime], 400, mode,
+                                        DIAGNOSTICS[regime])
+        k = diag_checkpoint(config.n)
+        if diag_rows:
+            # blocks [36, 39) and [39, 42) of the whole range against
+            # [37, 40) and [40, 42) of the part
+            monkeypatch.setattr(harness, "DIAG_BLOCK", diag_rows * k)
+        whole = harness._diagnostic_pass(config, params, k, 0, 50)
+        part = harness._diagnostic_pass(config, params, k, 37, 5)
+        assert set(part) == set(whole) == set(DIAGNOSTICS[regime])
+        assert len(whole["remainders"]) == 50
+        for test, values in part.items():
+            if test == "remainders":
+                assert [repr(d) for d in values] == \
+                    [repr(d) for d in whole[test][37:42]]
+            else:
+                assert np.array(values).tobytes() == \
+                    np.array(whole[test][37:42]).tobytes()
+
+    @pytest.mark.parametrize("scheme,n", [
+        (REGIME_SCHEMES["NS"], 400), (TestLastCheckpoint.OVERFLOWING, 20000),
+        (TestLastCheckpoint.OVERFLOWING, 2600)],
+        ids=["NS", "overflow-before-last", "overflow-either-side"])
+    def test_overflow_at(self, scheme, n):
+        # the first overflow of the whole path where it is at or before
+        # the last checkpoint, else -1: at n = 2600, 19 of the 30 rows
+        # overflow by k = 2080 and the others between it and n
+        config, params, ks = self.passes(scheme, n)
+        got = harness._kernel_pass(config, params, ks, 0, 30)[3]
+        want = [t0 if 0 < t0 <= ks[-1] else -1 for *_, t0 in
+                TestLastCheckpoint.reference_paths(scheme, n, ks)]
+        assert got.tolist() == want
+        if n == 2600:
+            assert 0 < want.count(-1) < 30
+
+
 def test_no_diagnostics_window_outlives_its_pass(monkeypatch):
     # each thread's diagnostic arrays live in an anonymous map of their
     # own, and no view of them is left when the kernel pass starts, so

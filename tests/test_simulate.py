@@ -319,7 +319,7 @@ class TestKernels:
 
 
 class TestRowBlocks:
-    """map_row_blocks and the kernel's outputs under any worker count."""
+    """map_row_blocks, and the kernel's outputs on batches of rows."""
 
     @staticmethod
     def spans(rows, block_rows=1):
@@ -381,16 +381,13 @@ class TestRowBlocks:
             map_row_blocks(fn, 6)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     @pytest.mark.parametrize("reps", [1, 3, 7])
     @pytest.mark.parametrize("keep", [None, [0, 5, BLOCK, 2 * BLOCK + 1,
                                              3 * BLOCK + 7]])
-    def test_kernel_independent_of_workers(self, monkeypatch, workers, reps,
-                                           keep):
-        # the kernel runs on the calling thread whatever WORKERS says;
+    def test_kernel_overflows_in_any_sub_block(self, reps, keep):
         # rows 0, reps // 2 and reps - 1 overflow, in the first, a middle
-        # and the last of its sub-blocks
-        monkeypatch.setattr(kernels, "WORKERS", workers)
+        # and the last of the kernel's sub-blocks; the kernel reads no
+        # worker count (TestChunkShape in test_harness pins its thread)
         n = 3 * BLOCK + 7
         eps = RngStream(7, 5).generator().standard_normal((reps, n + 1))
         spikes = dict(zip((0, reps // 2, reps - 1),
