@@ -14,20 +14,25 @@ change) are timed in one process.  These shapes are timed:
   (the shape of ``simulate_path``, so of ``simulate`` and acceptance
   criterion 1);
 - kernel, 500 x 4000 and 500 x 80000 through ``Recursion.advance`` in
-  time blocks of 2001 columns with four kept columns: a harness chunk of
-  500 rows on verify (n = 5000) and on the long paths of the sweep
-  (n = 1e5);
+  time blocks of 2001 or 1001 columns with four kept columns: a harness
+  chunk of 500 rows on verify (n = 5000) and on the long paths of the
+  sweep (n = 1e5), in 8 MB or 4 MB time blocks;
 - sampling, one (rows, columns) time block drawn by ``map_row_blocks``
   with one generator per row, in slices of about 2**15 draws as the
   harness draws them: 2000 x 1024 (verify's block in chunks of 2000
-  rows) against 500 x 2001 (in chunks of 500 rows).
+  rows), 500 x 2001 (8 MB blocks in chunks of 500 rows) and 500 x 1001
+  (4 MB blocks);
+- sampling, 20000 one-draw ``sample_innovations`` calls into a given
+  array on the calling thread: the cost of a draw call, nearly all of
+  it spent holding the GIL.
 
 The runs are interleaved: each round runs every shape once on every
 tree, so a change in the host's speed falls on all of them alike.  For
 each shape and tree the script prints the median and quartiles of wall
 time and of the process's CPU time (``time.process_time``, all threads)
 in milliseconds, and the median wall time per row and step (kernel) or
-per draw (sampling) in nanoseconds.  The kernel's innovations are
+per draw (sampling; a draw is a call in the one-draw shape) in
+nanoseconds.  The kernel's innovations are
 standard normal, drawn once from a fixed seed; the parameters are the
 acceptance near-stationary scheme's (c_alpha 1, p 0.5, c_gamma -1,
 kappa 0.4), so no row overflows.
@@ -38,6 +43,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import itertools
 import statistics
 import sys
 import time
@@ -47,25 +53,33 @@ from types import SimpleNamespace
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-# (label, layer, rows, steps or columns); one kernel row runs through
-# recursion_batch
+# (label, layer, rows, steps or columns[, kernel time block columns]);
+# one kernel row runs through recursion_batch
 SHAPES = (("1 x 5001 recursion_batch", "kernel", 1, 5000),
-          ("500 x 4000 advance", "kernel", 500, 4000),
-          ("500 x 80000 advance", "kernel", 500, 80000),
+          ("500 x 4000 advance, blocks of 2001", "kernel", 500, 4000),
+          ("500 x 4000 advance, blocks of 1001", "kernel", 500, 4000, 1001),
+          ("500 x 80000 advance, blocks of 2001", "kernel", 500, 80000),
+          ("500 x 80000 advance, blocks of 1001", "kernel", 500, 80000,
+           1001),
           ("2000 x 1024 draws", "sampling", 2000, 1024),
-          ("500 x 2001 draws", "sampling", 500, 2001))
-# harness._block_width of a 500-row chunk at n = 5000 and at n = 1e5
+          ("500 x 2001 draws", "sampling", 500, 2001),
+          ("500 x 1001 draws", "sampling", 500, 1001),
+          ("20000 x 1 draw calls", "call", 20000, 1))
+# harness._block_width of a 500-row chunk at n = 5000 and at n = 1e5 in
+# 8 MB time blocks (BLOCK_DRAWS = 1e6); 4 MB blocks take 1001 columns
 WIDTH = 2001
 DRAW_SLICE = 2 ** 15  # harness.DRAW_SLICE
 SEED = 20260823
+_LOADED = itertools.count()  # packages loaded so far
 
 
-def load(src: str, i: int) -> SimpleNamespace:
+def load(src: str) -> SimpleNamespace:
     """The ``kernels``, ``localization`` and ``innovations`` modules of
-    the mdgarch package under src, imported as package
-    ``_mdgarch_bench{i}``."""
+    the mdgarch package under src, imported as a package of a name not
+    used before (``_mdgarch_bench{i}``), so a tree loaded after another
+    never reuses its modules."""
     init = Path(src).resolve() / "mdgarch" / "__init__.py"
-    name = f"_mdgarch_bench{i}"
+    name = f"_mdgarch_bench{next(_LOADED)}"
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)])
     pkg = importlib.util.module_from_spec(spec)
@@ -83,11 +97,20 @@ def strided(rows: int, cols: int) -> np.ndarray:
     return np.empty((rows, 8 * (-(-cols // 8) | 1)))[:, :cols]
 
 
-def workload(tree: SimpleNamespace, layer: str, rows: int, cols: int):
-    """A no-argument callable that runs one shape once."""
+def workload(tree: SimpleNamespace, layer: str, rows: int, cols: int,
+             width: int = WIDTH):
+    """A no-argument callable that runs one shape once; a kernel shape
+    advances in time blocks of `width` columns."""
+    inn = tree.innovations
+    normal = inn.InnovationSpec("standard-normal")
+    if layer == "call":
+        gen, out = inn.stream_generators(SEED, 0, 1)[0], np.empty(cols)
+
+        def calls():
+            for _ in range(rows):
+                inn.sample_innovations(normal, cols, gen, out=out)
+        return calls
     if layer == "sampling":
-        inn = tree.innovations
-        normal = inn.InnovationSpec("standard-normal")
         gens = inn.stream_generators(SEED, 0, rows)
         block = strided(rows, cols)
 
@@ -105,23 +128,25 @@ def workload(tree: SimpleNamespace, layer: str, rows: int, cols: int):
     if rows == 1:
         eps = rng.standard_normal((1, cols + 1))
         return lambda: tree.kernels.recursion_batch(eps, *args)
-    block = strided(rows, WIDTH)
-    block[:] = rng.standard_normal((rows, WIDTH))
+    block = strided(rows, width)
+    block[:] = rng.standard_normal((rows, width))
     keep = [cols * m // 5 for m in range(1, 5)]
 
     def run():
+        # [0, cols] in blocks of `width`, the last narrower, as the
+        # harness steps it
         rec = tree.kernels.Recursion(rows, cols, *args, keep)
-        for a in range(0, cols, WIDTH):
-            rec.advance(block, a)
+        for a in range(0, cols + 1, width):
+            rec.advance(block[:, :min(width, cols + 1 - a)], a)
     return run
 
 
 def bench(srcs, shapes=SHAPES, runs: int = 15) -> dict:
     """{(shape label, src): (wall times, CPU times)} in seconds, from
     `runs` interleaved rounds after one untimed warm-up round."""
-    trees = [load(src, i) for i, src in enumerate(srcs)]
-    jobs = [((label, src), workload(tree, layer, rows, cols))
-            for label, layer, rows, cols in shapes
+    trees = [load(src) for src in srcs]
+    jobs = [((label, src), workload(tree, layer, rows, cols, *width))
+            for label, layer, rows, cols, *width in shapes
             for src, tree in zip(srcs, trees)]
     times = {key: ([], []) for key, _ in jobs}
     for r in range(runs + 1):
@@ -152,7 +177,7 @@ def main(argv=None) -> int:
         parser.error("--runs must be at least 2 (quartiles need two)")
     srcs = args.src or [str(ROOT / "src")]
     times = bench(srcs, runs=args.runs)
-    units = {label: rows * cols for label, _, rows, cols in SHAPES}
+    units = {label: rows * cols for label, _, rows, cols, *_ in SHAPES}
     print(f"{args.runs} interleaved runs, numpy {np.__version__}; "
           "ms, median [quartiles]; ns a row-step or draw")
     print("shape | src | wall | cpu | ns")

@@ -12,8 +12,8 @@ and streams its innovations through the kernel in time blocks: each
 block is drawn into one reused (rows, columns) buffer and advances the
 recursion's state (``kernels.Recursion``), and only the checkpoint
 columns (sigma^2, log sigma^2 and eps_k) are kept.  The blocks split
-[0, k] evenly, each of about ``BLOCK_DRAWS`` innovations
-(``_block_width``), a rule of the rows and k alone.  No statistic reads
+[0, k] evenly, each of about ``BLOCK_DRAWS`` innovations (4 MB;
+``_block_width``), a rule of the rows and k alone.  No statistic reads
 an innovation past the last checkpoint k, so the kernel pass draws and
 steps the columns [0, k] only; n still sets alpha_n, beta_n and every
 normalization.
@@ -22,8 +22,10 @@ The diagnostic pass (``_diagnostic_pass``: lemma, tau, decomposition),
 which reads the innovations [0, k_diag) of each replication, runs
 before the kernel pass: it re-seeds the chunk's generators and redraws
 [0, k_diag) for a block of ``DIAG_BLOCK // k_diag`` rows at a time into
-(rows, k_diag) arrays that each thread maps on its first block and
-reuses.  That costs k_diag more draws per replication and holds no
+four (rows, k_diag) arrays that each thread maps on its first block and
+reuses: the innovations, xi, its prefix sums and one temporary, the
+decomposition writing its other temporaries over the three spent
+inputs.  That costs k_diag more draws per replication and holds no
 (rows, k_diag) window, so memory scales with the rows times the block
 width, never with rows x n.  Each pass owns its buffers, which are
 unmapped when it returns, so the kernel pass never holds the
@@ -69,18 +71,19 @@ GOF_TESTS = frozenset({"vol_gof", "ret_gof"})
 # diagnostic checkpoint for lemma / remainder / tau sweeps
 DIAG_FRACTION = 0.8
 # the path diagnostics run over blocks of replications whose (rows, k)
-# arrays (six per thread in one memory map, reused from block to block
-# of a chunk's diagnostics pass: the redrawn innovations, xi, its prefix
-# sums and the decomposition's temporaries) hold about this many doubles
-# (256 KiB) each
+# arrays (four per thread in one memory map, reused from block to block
+# of a chunk's diagnostic pass: the redrawn innovations, xi, its prefix
+# sums and one temporary; the decomposition, which runs last, takes the
+# three spent inputs as its other temporaries) hold about this many
+# doubles (256 KiB) each
 DIAG_BLOCK = 2 ** 15
 # replications per chunk.  The kernel steps a chunk on one thread at
 # 3.5 ns per row and step with 500 rows, 3.2-3.4 ns with 1000-2000 and
 # 6.1 ns with 250 (2-vCPU host): more rows step no cheaper
 CHUNK_ROWS = 500
 # a chunk draws and steps [0, last] in equal time blocks of about this
-# many innovations (8 MB): see _block_width
-BLOCK_DRAWS = 10 ** 6
+# many innovations (4 MB; 1001 columns at 500 rows): see _block_width
+BLOCK_DRAWS = 5 * 10 ** 5
 # sampling threads take a time block's rows in slices of about this many
 # innovations; one row at a time, the two threads queued on the slice
 # lock and the GIL (0.18 s against 0.16 s for slices of 16 rows)
@@ -425,8 +428,8 @@ def _diagnostic_pass(config: McConfig, params: GarchParams, k_diag: int,
         try:
             work = spare.pop()
         except IndexError:
-            work = _row_array(6 * diag_rows, k_diag).reshape(6, diag_rows, -1)
-        eps, xi_rev, s, *temps = work[:, :part.stop - part.start]
+            work = _row_array(4 * diag_rows, k_diag).reshape(4, diag_rows, -1)
+        eps, xi_rev, s, temp = work[:, :part.stop - part.start]
         _draw_rows(config, gens[part], eps)
         # xi_{k-1}, ..., xi_0 and its prefix sums, shared by all three
         np.square(eps[:, ::-1], out=xi_rev)
@@ -446,9 +449,11 @@ def _diagnostic_pass(config: McConfig, params: GarchParams, k_diag: int,
             values["tau_coupling"] = [v ** 2 for v in gap.tolist()]
         if "remainders" in tests:
             try:
-                # eps, spent once squared, is the fourth temporary
+                # it runs last, so xi and s are spent once it has read
+                # them, and eps once squared: they are its temporaries
                 values["remainders"] = decompose_rows(
-                    xi, params, k_diag, mode, s=s, work=temps + [eps])
+                    xi, params, k_diag, mode, s=s,
+                    work=[xi_rev, s, temp, eps])
             except NumericalBreakdown as exc:
                 exc.row += part.start
                 raise
@@ -463,9 +468,11 @@ def _block_width(rows: int, last: int) -> int:
     """Columns of a chunk's time blocks: [0, last] in the fewest equal
     blocks of at most about BLOCK_DRAWS innovations, the last block
     narrower.  Each block costs a GIL-held draw call per replication:
-    two threads drawing 8e6 normals in calls of 2048-4096 ran 1.5-1.8x
-    as fast as one, of 512 0.75-0.89x (2-vCPU host), so a wide block of
-    few rows beats a narrow block of many."""
+    two threads drawing 8e6 normals ran 1.64x as fast as one in calls
+    of 2001, 1.46x in calls of 1001 and 0.90x in calls of 501 (2-vCPU
+    host), so a wide block of few rows beats a narrow block of many,
+    and 4 MB blocks of 500 rows (1001 columns) are about as narrow as
+    pays."""
     blocks = max(1, -(-rows * last // BLOCK_DRAWS))
     return -(-(last + 1) // blocks)
 

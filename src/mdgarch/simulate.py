@@ -194,8 +194,13 @@ def decompose_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
     diagnostics; otherwise it is computed here.  work, when given, is
     four float arrays of shape (rows, k) that the temporaries are
     written to, so that a caller can reuse them across blocks; otherwise
-    they are allocated here.  Raises DecompositionOverflow, naming the
-    first row, when a classical component is not finite.
+    they are allocated here.  work[0] may be the array holding
+    xi[:, k-1::-1] (the same memory and strides) and work[1] may be s:
+    each is read only element by element into itself (x = alpha xi +
+    gamma, then alpha S_j) before anything else is written there, so a
+    caller that has no further use of xi and s saves two arrays.  Raises
+    DecompositionOverflow, naming the first row, when a classical
+    component is not finite.
     """
     alpha, gamma, omega = params.alpha_n, params.gamma_n, params.omega
     xi_rev = xi[:, k - 1::-1]            # xi_{k-1}, ..., xi_0

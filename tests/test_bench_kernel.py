@@ -1,5 +1,6 @@
 """Smoke test of scripts/bench_kernel.py at tiny sizes."""
 import importlib.util
+import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -17,7 +18,9 @@ def test_bench_times_every_shape_on_every_tree():
     bench = _script()
     src = str(ROOT / "src")
     shapes = (("1 x 51", "kernel", 1, 50), ("3 x 1500", "kernel", 3, 1500),
-              ("5 x 30 draws", "sampling", 5, 30))
+              ("3 x 1500, blocks of 700", "kernel", 3, 1500, 700),
+              ("5 x 30 draws", "sampling", 5, 30),
+              ("4 x 1 draw calls", "call", 4, 1))
     times = bench.bench([src], shapes=shapes, runs=3)
     assert set(times) == {(label, src) for label, *_ in shapes}
     for wall, cpu in times.values():
@@ -32,14 +35,18 @@ def test_workload_runs_the_tree_it_was_given(monkeypatch):
     # blocks of 2001 columns; one row runs its recursion_batch; sampling
     # runs its map_row_blocks
     bench = _script()
-    tree = bench.load(str(ROOT / "src"), 0)
+    tree = bench.load(str(ROOT / "src"))
     calls = []
     real = tree.kernels.Recursion.advance
     monkeypatch.setattr(tree.kernels.Recursion, "advance",
-                        lambda self, eps, a: calls.append(a)
+                        lambda self, eps, a: calls.append((a, eps.shape[1]))
                         or real(self, eps, a))
     bench.workload(tree, "kernel", 2, 4100)()
-    assert calls == [0, 2001, 4002]
+    assert calls == [(0, 2001), (2001, 2001), (4002, 99)]
+    calls.clear()
+    bench.workload(tree, "kernel", 2, 4100, 1001)()
+    assert calls == [(0, 1001), (1001, 1001), (2002, 1001), (3003, 1001),
+                     (4004, 97)]
     sigma_sq, _, overflow_at = bench.workload(tree, "kernel", 1, 40)()
     assert sigma_sq.shape == (1, 41) and overflow_at[0] == -1
     spans = []
@@ -50,3 +57,27 @@ def test_workload_runs_the_tree_it_was_given(monkeypatch):
                         or real_map(fn, rows, block_rows))
     bench.workload(tree, "sampling", 40, 2001)()
     assert spans == [(40, 16)]
+
+
+def test_draw_calls_take_one_draw_each(monkeypatch):
+    bench = _script()
+    tree = bench.load(str(ROOT / "src"))
+    counts = []
+    real = tree.innovations.sample_innovations
+    monkeypatch.setattr(tree.innovations, "sample_innovations",
+                        lambda spec, count, *args, **kwargs: counts.append(
+                            count) or real(spec, count, *args, **kwargs))
+    bench.workload(tree, "call", 6, 1)()
+    assert counts == [1] * 6
+
+
+def test_each_load_imports_its_own_tree(tmp_path):
+    # a tree loaded after another, in one process, runs its own files
+    bench = _script()
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "mdgarch", copy / "mdgarch",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    first, second = bench.load(str(ROOT / "src")), bench.load(str(copy))
+    for tree, src in ((first, ROOT / "src"), (second, copy)):
+        for module in vars(tree).values():
+            assert Path(module.__file__).parent == src / "mdgarch"

@@ -274,6 +274,23 @@ class TestBlocksEqualReference:
                 for p in _row_paths(xi_block[:rows])]
         assert [_dec_bits(d) for d in got] == [_dec_bits(d) for d in want]
 
+    @pytest.mark.parametrize("regime", sorted(SCHEMES))
+    def test_decomposition_aliased_work(self, xi_block, rows, k, mode,
+                                        regime):
+        # the harness's work set: xi's reversed buffer and s are the
+        # first two temporaries, overwritten once read
+        params = PARAMS[regime]
+        xi, s = _harness_layout(xi_block[:rows], k)
+        want = decompose_rows(xi, params, k, mode, s=s.copy())
+        xi_rev = xi[:, ::-1]
+        work = [xi_rev, s, np.empty_like(s), np.empty_like(s)]
+        got = decompose_rows(xi, params, k, mode, s=s, work=work)
+        assert [_dec_bits(d) for d in got] == [_dec_bits(d) for d in want]
+        # both inputs were written over
+        fresh_xi, fresh_s = _harness_layout(xi_block[:rows], k)
+        assert not np.array_equal(xi_rev, fresh_xi[:, ::-1])
+        assert not np.array_equal(s, fresh_s)
+
 
 def _harness_layout(xi: np.ndarray, k: int):
     """xi as run_experiment passes it, and its shared prefix sum."""

@@ -555,10 +555,10 @@ class TestChunkShape:
         monkeypatch.setattr(harness, "sample_innovations", counting)
         run_experiment(ns_config(n=5000, reps=2000))
         assert rows == [harness.CHUNK_ROWS] * 4
-        assert len(threads) == 8
+        assert len(threads) == 16
         assert set(threads) == {threading.get_ident()}
-        # [0, 4000] in two blocks of 2001 and 2000 columns
-        assert sorted(counts) == [2000] * 2000 + [2001] * 2000
+        # [0, 4000] in three blocks of 1001 columns and one of 998
+        assert sorted(counts) == [998] * 2000 + [1001] * 6000
 
     @pytest.mark.parametrize("reps", [1, 7, 499, 500, 501, 2000, 123457])
     @pytest.mark.parametrize("n", [20, 400, 5000, 10 ** 5, 10 ** 6])

@@ -398,10 +398,10 @@ class TestRowBlocks:
         got = assert_matches_loop(eps, 1.0, 2.0, 0.0, 1.0, keep)
         assert list(got[2]) == [spikes.get(r, -1) for r in range(reps)]
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_kernel_splits_large_batches(self, monkeypatch, workers):
-        # over 1000 rows step as one batch on the calling thread
-        monkeypatch.setattr(kernels, "WORKERS", workers)
+    def test_kernel_splits_large_batches(self, monkeypatch):
+        # over 1000 rows step as one batch on the calling thread, which
+        # reads no worker count
+        monkeypatch.setattr(kernels, "WORKERS", 2)
         eps = RngStream(7, 6).generator().standard_normal((1503, 41))
         eps[-1, 3] = 1e154
         got = assert_matches_loop(eps, 1.0, 2.0, 0.0, 1.0, [0, 10, 40])
