@@ -398,14 +398,18 @@ class TestRowBlocks:
         got = assert_matches_loop(eps, 1.0, 2.0, 0.0, 1.0, keep)
         assert list(got[2]) == [spikes.get(r, -1) for r in range(reps)]
 
-    def test_kernel_splits_large_batches(self, monkeypatch):
+    @pytest.mark.parametrize("overflows", [2, 3])
+    def test_kernel_splits_large_batches(self, monkeypatch, overflows):
         # over 1000 rows step as one batch on the calling thread, which
-        # reads no worker count
+        # reads no worker count; the last row overflows, and so do the
+        # first (2) or the first and a middle one (3), at other times
         monkeypatch.setattr(kernels, "WORKERS", 2)
         eps = RngStream(7, 6).generator().standard_normal((1503, 41))
-        eps[-1, 3] = 1e154
+        rows = [0, 751, len(eps) - 1] if overflows == 3 else [0, len(eps) - 1]
+        for r, t in zip(rows, [20, 30, 3][-overflows:]):
+            eps[r, t] = 1e154
         got = assert_matches_loop(eps, 1.0, 2.0, 0.0, 1.0, [0, 10, 40])
-        assert np.flatnonzero(got[2] >= 0).tolist() == [len(eps) - 1]
+        assert np.flatnonzero(got[2] >= 0).tolist() == rows
 
 
 class TestMultiplicative:
