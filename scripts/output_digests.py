@@ -18,6 +18,9 @@ trees run in one process.  Every case runs in-process through the tree's
 - the sweep of perfbench's sweep-long workload: NE, lemma and
   remainders, n 1e3, 1e4 and 1e5 x 500 reps;
 - diagnose NS and NE, classical and literal, n 2000 x 200 reps;
+- diagnose NS classical (tau) and NE literal at n 50000 x 20 reps, where
+  k = 40000 exceeds ``harness.DIAG_BLOCK`` and each row runs in several
+  column tiles;
 - simulate NS (n 300, 5 paths) and the overflowing NE scheme (n 20000,
   3 paths).
 
@@ -83,6 +86,9 @@ CASES = tuple(
     + [Case(f"diagnose {s} {mode}", "diagnose", s, 2000, 200,
             options=("--mode", mode))
        for s in ("NS", "NE") for mode in ("classical", "literal")]
+    + [Case(f"diagnose {s} {mode} n50000", "diagnose", s, 50000, 20,
+            options=("--mode", mode))
+       for s, mode in (("NS", "classical"), ("NE", "literal"))]
     + [Case("simulate NS", "simulate", "NS", 300, 5),
        Case("simulate NE-overflow", "simulate", "NE-overflow", 20000, 3)])
 

@@ -21,15 +21,16 @@ normalization.
 The diagnostic pass (``_diagnostic_pass``: lemma, tau, decomposition),
 which reads the innovations [0, k_diag) of each replication, runs
 before the kernel pass: it re-seeds the chunk's generators and redraws
-[0, k_diag) for a block of ``DIAG_BLOCK // k_diag`` rows at a time into
-four (rows, k_diag) arrays that each thread maps on its first block and
-reuses: the innovations, xi, its prefix sums and one temporary, the
-decomposition writing its other temporaries over the three spent
-inputs.  That costs k_diag more draws per replication and holds no
-(rows, k_diag) window, so memory scales with the rows times the block
-width, never with rows x n.  Each pass owns its buffers, which are
-unmapped when it returns, so the kernel pass never holds the
-diagnostics' arrays beside its time block.
+[0, k_diag) for a block of ``DIAG_BLOCK // k_diag`` rows (at least one)
+at a time into one (rows, k_diag) array that each thread maps on its
+first block and reuses, squares it in place into xi and runs the three
+diagnostics over column tiles of at most ``DIAG_BLOCK`` doubles
+(``simulate.path_diagnostics``) in four tile buffers mapped beside it.
+That costs k_diag more draws per replication and holds no (rows,
+k_diag) window, so memory scales with one row block plus four tiles,
+never with rows x n.  Each pass owns its buffers, which are unmapped
+when it returns, so the kernel pass never holds the diagnostics' arrays
+beside its time block.
 
 Sampling (a slice of a time block's rows each) and the path diagnostics
 (one diagnostic block each) run over row blocks of a chunk, shared by as
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import json
 import math
-import mmap
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -54,15 +54,15 @@ from . import gof, limits
 from .innovations import (InnovationSpec, RngStream, innovation_cdf,
                           sample_innovations, stream_generators,
                           validate_spec, xi_second_moment)
-from .kernels import Recursion, map_row_blocks
+from .kernels import Recursion, map_row_blocks, row_array
 from .localization import (GarchParams, LocalizationScheme, Regime,
                            classify_regime, realize_params)
 from .simulate import (CLASSICAL, LITERAL, MODES, DecompositionReport,
-                       NumericalBreakdown, decompose_rows)
+                       NumericalBreakdown, column_tiles, path_diagnostics)
 from .stats import (CheckpointGrid, checkpoint_returns,
-                    int_return_stats, int_volatility_stats, lemma_rows,
+                    int_return_stats, int_volatility_stats,
                     ne_return_stats, ne_volatility_stats, ns_return_stats,
-                    ns_volatility_stats, tau_rows)
+                    ns_volatility_stats)
 
 ALL_TESTS = ("vol_gof", "ret_gof", "independence", "lemma", "remainders",
              "tau_coupling")
@@ -70,12 +70,14 @@ GOF_TESTS = frozenset({"vol_gof", "ret_gof"})
 
 # diagnostic checkpoint for lemma / remainder / tau sweeps
 DIAG_FRACTION = 0.8
-# the path diagnostics run over blocks of replications whose (rows, k)
-# arrays (four per thread in one memory map, reused from block to block
-# of a chunk's diagnostic pass: the redrawn innovations, xi, its prefix
-# sums and one temporary; the decomposition, which runs last, takes the
-# three spent inputs as its other temporaries) hold about this many
-# doubles (256 KiB) each
+# the path diagnostics redraw a block of replications into one (rows, k)
+# array, square it in place into xi and run over column tiles of it in
+# four tile buffers (the reversed xi, then x; S_j, then alpha S_j;
+# log(1 + x); one scratch tile).  A block holds about this many doubles
+# (256 KiB), or one row when k is larger, and a tile at most this many
+# columns, so the four buffers hold about this many doubles each beside
+# the innovations.  Each thread maps one set and reuses it from block to
+# block of a chunk's diagnostic pass
 DIAG_BLOCK = 2 ** 15
 # replications per chunk.  The kernel steps a chunk on one thread at
 # 3.5 ns per row and step with 500 rows, 3.2-3.4 ns with 1000-2000 and
@@ -402,7 +404,7 @@ def _kernel_pass(config: McConfig, params: GarchParams, ks: Sequence[int],
                     params.sigma0_sq, ks)
     eps_k = np.empty((rows, len(ks)))
     width = _block_width(rows, last)
-    held = _row_array(rows, width)
+    held = row_array(rows, width)
     for a in range(0, last + 1, width):
         block = held[:, :min(width, last + 1 - a)]
         map_row_blocks(lambda r: _draw_rows(config, gens[r], block[r]), rows,
@@ -422,42 +424,35 @@ def _diagnostic_pass(config: McConfig, params: GarchParams, k_diag: int,
     tests, mode = config.tests, config.mode
     gens = stream_generators(config.master_seed, start, rows)
     diag_rows = max(1, DIAG_BLOCK // k_diag)
-    spare = []  # free sets of work arrays; a thread takes one or maps one
+    spare = []  # free sets of arrays; a thread takes one or maps one
 
     def diagnose(part):
         try:
-            work = spare.pop()
+            xi_rows, tiles = spare.pop()
         except IndexError:
-            work = _row_array(4 * diag_rows, k_diag).reshape(4, diag_rows, -1)
-        eps, xi_rev, s, temp = work[:, :part.stop - part.start]
-        _draw_rows(config, gens[part], eps)
-        # xi_{k-1}, ..., xi_0 and its prefix sums, shared by all three
-        np.square(eps[:, ::-1], out=xi_rev)
-        xi_rev -= 1.0
-        xi = xi_rev[:, ::-1]
-        for xi_row, s_row in zip(xi_rev, s):  # 1-D: cumsum drops the GIL
-            np.cumsum(xi_row, out=s_row)
-        values = {}
-        if "lemma" in tests:
-            values["lemma"] = lemma_rows(xi, params, k_diag, mode, s=s)
-        if "tau_coupling" in tests:
+            xi_rows = row_array(diag_rows, k_diag)
+            width = max(hi - lo for lo, hi in column_tiles(k_diag,
+                                                           DIAG_BLOCK))
+            tiles = row_array(4 * diag_rows, width).reshape(4, diag_rows, -1)
+        count = part.stop - part.start
+        xi = xi_rows[:count]
+        _draw_rows(config, gens[part], xi)
+        np.square(xi, out=xi)            # xi = eps^2 - 1, in place
+        xi -= 1.0
+        try:
+            values = path_diagnostics(xi, params, k_diag, mode, tests,
+                                      DIAG_BLOCK, work=tiles[:, :count])
+        except NumericalBreakdown as exc:
+            exc.row += part.start
+            raise
+        if "tau_coupling" in values:
             g = params.gamma_n
-            tau, tau_star = tau_rows(xi, params, k_diag, mode, s=s)
+            tau, tau_star = values["tau_coupling"]
             gap = (math.sqrt(2.0 * abs(g) ** 3) * tau_star
                    - math.sqrt(2.0 * abs(g)) * tau)
             # Python's float power; numpy's x * x differs in last bits
             values["tau_coupling"] = [v ** 2 for v in gap.tolist()]
-        if "remainders" in tests:
-            try:
-                # it runs last, so xi and s are spent once it has read
-                # them, and eps once squared: they are its temporaries
-                values["remainders"] = decompose_rows(
-                    xi, params, k_diag, mode, s=s,
-                    work=[xi_rev, s, temp, eps])
-            except NumericalBreakdown as exc:
-                exc.row += part.start
-                raise
-        spare.append(work)
+        spare.append((xi_rows, tiles))
         return values
 
     blocks = map_row_blocks(diagnose, rows, diag_rows)
@@ -475,25 +470,6 @@ def _block_width(rows: int, last: int) -> int:
     pays."""
     blocks = max(1, -(-rows * last // BLOCK_DRAWS))
     return -(-(last + 1) // blocks)
-
-
-def _row_array(rows: int, cols: int) -> np.ndarray:
-    """A zeroed (rows, cols) view whose row stride is an odd number of
-    64-byte cache lines, in its own anonymous memory map.
-
-    The kernel reads a time block down its columns; with a row stride of
-    a power of two doubles, every row of a column falls in the same
-    cache set, and stepping 2000 x 5000 innovations through 1024-column
-    blocks took 1.6x as long.  The map bypasses malloc:
-    glibc raises its mmap threshold to the size of any mapped block it
-    frees (up to 32 MiB), and the heap then keeps blocks below that size
-    that it would have returned to the system."""
-    stride = 8 * (-(-cols // 8) | 1)
-    try:
-        buf = mmap.mmap(-1, 8 * rows * stride)
-    except OSError as exc:
-        raise MemoryError(f"cannot map a ({rows}, {cols}) array") from exc
-    return np.frombuffer(buf).reshape(rows, stride)[:, :cols]
 
 
 def _gof_entry(res: gof.GofResult, k: int) -> dict:

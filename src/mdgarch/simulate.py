@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import IO, List, Optional, Sequence, Tuple
+from typing import IO, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,7 +104,8 @@ def _expm1_minus_x(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         out -= x
     # the series only where it replaces the direct form
     xs = x[small]
-    out[small] = xs * xs * (0.5 + xs * (1.0 / 6.0 + xs / 24.0))
+    if xs.size:
+        out[small] = xs * xs * (0.5 + xs * (1.0 / 6.0 + xs / 24.0))
     return out
 
 
@@ -173,14 +174,30 @@ def decompose_volatility(path: GarchPath, params: GarchParams, k: int,
 @functools.lru_cache(maxsize=1)
 def _decompose_weights(g_eff: float, k: int) -> Tuple[np.ndarray, ...]:
     """j = 1..k, the log log scale of R2 (j >= 3) and e^{j g_eff}
-    (j <= k-1), read-only; one set per run."""
+    (j <= k-1), read-only; one set per run, built in place."""
     j = np.arange(1, k + 1, dtype=float)
-    lil = np.maximum(np.log(np.log(j[2:])), 0.1) * j[2:]
-    with np.errstate(over="ignore"):     # inf: see decompose_rows
-        ejg = np.exp(g_eff * j[:k - 1])
+    lil = np.log(j[2:])
+    np.log(lil, out=lil)
+    np.maximum(lil, 0.1, out=lil)
+    lil *= j[2:]
+    ejg = np.multiply(j[:k - 1], g_eff)
+    with np.errstate(over="ignore"):     # inf: see path_diagnostics
+        np.exp(ejg, out=ejg)
     for table in (j, lil, ejg):
         table.flags.writeable = False
     return j, lil, ejg
+
+
+@functools.lru_cache(maxsize=1)
+def _lemma_weights(g: float, k: int) -> np.ndarray:
+    """g e^{g (j-k)}, j = 1..k-1, read-only; one table per run, built in
+    place."""
+    wgt = np.arange(1 - k, 0, dtype=float)
+    wgt *= g
+    np.exp(wgt, out=wgt)
+    wgt *= g
+    wgt.flags.writeable = False
+    return wgt
 
 
 def decompose_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
@@ -190,75 +207,221 @@ def decompose_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
     """decompose_volatility of each row of a xi block (rows, m >= k).
 
     s, when given, is the reversed prefix sum
-    np.cumsum(xi[:, k-1::-1], axis=1), shared with the other path
-    diagnostics; otherwise it is computed here.  work, when given, is
-    four float arrays of shape (rows, k) that the temporaries are
-    written to, so that a caller can reuse them across blocks; otherwise
-    they are allocated here.  work[0] may be the array holding
-    xi[:, k-1::-1] (the same memory and strides) and work[1] may be s:
-    each is read only element by element into itself (x = alpha xi +
-    gamma, then alpha S_j) before anything else is written there, so a
-    caller that has no further use of xi and s saves two arrays.  Raises
-    DecompositionOverflow, naming the first row, when a classical
+    np.cumsum(xi[:, k-1::-1], axis=1), read instead of computed.  work,
+    when given, is four float arrays of shape (rows, k) that the
+    temporaries are written to; otherwise they are allocated here.
+    work[0] may be the array holding xi[:, k-1::-1] (the same memory and
+    strides) and work[1] may be s: each is read only element by element
+    into itself (x = alpha xi + gamma, then alpha S_j) before anything
+    else is written there.  The row is one tile of path_diagnostics.
+    Raises DecompositionOverflow, naming the first row, when a classical
     component is not finite.
     """
-    alpha, gamma, omega = params.alpha_n, params.gamma_n, params.omega
-    xi_rev = xi[:, k - 1::-1]            # xi_{k-1}, ..., xi_0
-    if s is None:
-        s = np.cumsum(xi_rev, axis=1)    # S_j
+    return path_diagnostics(xi, params, k, mode, ("remainders",), s=s,
+                            work=work)["remainders"]
+
+
+# numpy's pairwise sum adds a run of up to this many terms unsplit
+# (its PW_BLOCKSIZE)
+_PAIRWISE_BLOCK = 128
+
+
+def _split(n: int, cap: int) -> Optional[int]:
+    """Where numpy's pairwise sum of n terms splits them (a multiple of
+    its 8-way unroll), or None if the n terms are a leaf: no more than
+    cap, or a run numpy adds unsplit."""
+    if n <= max(cap, _PAIRWISE_BLOCK):
+        return None
+    return n // 2 - (n // 2) % 8
+
+
+def _sum_leaves(n: int, cap: int, lo: int = 0) -> List[Tuple[int, int]]:
+    """The leaves [lo', hi') of numpy's pairwise sum of the n terms from
+    lo, in order: its tree, split until each leaf fits cap."""
+    half = _split(n, cap)
+    if half is None:
+        return [(lo, lo + n)]
+    return _sum_leaves(half, cap, lo) + _sum_leaves(n - half, cap,
+                                                    lo + half)
+
+
+def _tree_sum(sums: Iterator, n: int, cap: int):
+    """np.add.reduce of n terms, bit for bit, from the sums of its leaves
+    (those of _sum_leaves(n, cap), as an iterator in order), added up
+    numpy's tree."""
+    half = _split(n, cap)
+    if half is None:
+        return next(sums)
+    return _tree_sum(sums, half, cap) + _tree_sum(sums, n - half, cap)
+
+
+def column_tiles(k: int, cap: int) -> List[Tuple[int, int]]:
+    """The column tiles [lo, hi) of a diagnostic row of k reversed
+    columns: the leaves of the pairwise sums over the first k - 1, the
+    last column joining the last leaf when that holds fewer than cap (a
+    tile of its own otherwise)."""
+    tiles = _sum_leaves(k - 1, cap)
+    lo, hi = tiles[-1]
+    if hi - lo < cap:
+        tiles[-1] = (lo, k)
+    else:
+        tiles.append((k - 1, k))
+    return tiles
+
+
+def _cumsum_rows(tile: np.ndarray, carry: np.ndarray, first: bool,
+                 out: np.ndarray) -> None:
+    """Each row of out the running sum of tile's, continued from carry
+    (the running sums at the previous tile's last column) unless the
+    tile is the first; carry then holds this tile's, and tile its own
+    values again.  Adding the carry to the first column is the addition
+    a running sum over the whole row makes there, so the bits are the
+    same.  Row by row: numpy's cumsum releases the GIL on 1-D arrays
+    only."""
+    if not first:
+        head = tile[:, 0].copy()
+        tile[:, 0] += carry
+    for row, row_out in zip(tile, out):
+        np.add.accumulate(row, out=row_out)   # np.cumsum's loop
+    if not first and out is not tile:
+        tile[:, 0] = head
+    carry[:] = out[:, -1]
+
+
+def path_diagnostics(xi: np.ndarray, params: GarchParams, k: int, mode: str,
+                     tests: Sequence[str], cap: Optional[int] = None,
+                     s: Optional[np.ndarray] = None,
+                     work: Optional[Sequence[np.ndarray]] = None) -> dict:
+    """The path diagnostics of each row of a xi block (rows, m >= k) at
+    k: per requested test of "lemma", "tau_coupling" and "remainders",
+    what lemma_rows, tau_rows and decompose_rows return.
+
+    All three read the reversed row xi_{k-1}, ..., xi_0 and its prefix
+    sums S_j, here taken over column tiles (column_tiles(k, cap); one
+    tile of the whole row when cap is None), so the temporaries are four
+    tile buffers: x = alpha xi + gamma over the reversed xi, alpha S_j
+    over S_j, log(1 + x) and one scratch tile.  The running sums carry
+    from tile to tile (_cumsum_rows), the tiles' maxima combine with
+    np.max, which propagates NaN, and each weighted sum adds the sums of
+    its tiles up numpy's pairwise tree (_tree_sum), so every result is
+    bit for bit the same for any cap.
+    s, when given, is read instead of computed; work, when given, is
+    the four tile buffers, each at least (rows, the widest tile).
+    """
+    alpha, gamma = params.alpha_n, params.gamma_n
+    rows = len(xi)
     root = math.sqrt(k) if mode == LITERAL else 1.0
     g_eff = gamma / root
-    j, lil, ejg = _decompose_weights(g_eff, k)
-
-    # four (rows, k) buffers, each reused through out= once spent (x, then
-    # R3; log(1+x), then R2; alpha S_j, then its base; one scratch).  At
-    # k = 8e4 each holds 640 KB, and every fresh one glibc trims from its
-    # heap is page-faulted in again on the next row: hence `work`
+    cap = k if cap is None else cap
+    tiles = column_tiles(k, cap)
     if work is None:
-        work = np.empty((4,) + xi_rev.shape)
-    x, a_s, log1p_x, scratch = work
-    np.multiply(xi_rev, alpha, out=x)
-    x += gamma
-    if root != 1.0:                      # dividing by 1.0 is exact
-        x /= root
-    np.multiply(s, alpha / root, out=a_s)   # alpha S_j
+        work = np.empty((4, rows, max(hi - lo for lo, hi in tiles)))
+    lemma, tau, remainders = (test in tests for test in
+                              ("lemma", "tau_coupling", "remainders"))
+    if lemma:
+        lemma_wgt = _lemma_weights(g_eff, k)
+    if tau or remainders:
+        j, lil, ejg = _decompose_weights(g_eff, k)
+    # per tile the sums of lemma, tau, tau*, inner2, inner3 and inner4
+    # (a last tile of one column adds empty sums after them, never read)
+    leaf = np.zeros((len(tiles), 6, rows))
+    carry = np.empty((3, rows))   # running sums of S_j, R3, log(1 + x)
+    # the last column of S_j (lemma) and alpha S_j (R1)
+    s_last, a_s_last = np.empty(rows), np.empty(rows)
+    # per tile max |R2|, max |R2| / lil_j (j >= 3) and max |R3| / j
+    maxima = np.empty((3, rows, len(tiles)))
+    for t, (lo, hi) in enumerate(tiles):
+        w, m = hi - lo, min(hi, k - 1) - lo   # columns; terms of the sums
+        xi_rev = work[0][:, :w]
+        np.copyto(xi_rev, xi[:, k - hi:k - lo][:, ::-1])
+        if s is None:
+            s_tile = work[1][:, :w]
+            _cumsum_rows(xi_rev, carry[0], lo == 0, s_tile)
+        else:
+            s_tile = s[:, lo:hi]
+        scratch = work[3][:, :w]
+        block = scratch[:, :m]
+        # numpy's pairwise sum has a fixed order; np.dot's BLAS sum is
+        # split by thread count, so its last bits depend on the host
+        if lemma:
+            np.add.reduce(np.multiply(lemma_wgt[lo:lo + m], s_tile[:, :m],
+                                      out=block), axis=1, out=leaf[t, 0])
+            if lo <= k - 2 < hi:
+                s_last[:] = s_tile[:, k - 2 - lo]
+        if tau or remainders:
+            wgt = ejg[lo:lo + m]
+        if tau:
+            np.add.reduce(np.multiply(wgt, xi_rev[:, :m], out=block),
+                          axis=1, out=leaf[t, 1])
+            np.add.reduce(np.multiply(wgt, s_tile[:, :m], out=block),
+                          axis=1, out=leaf[t, 2])
+        if not remainders:
+            continue
+        x = np.multiply(xi_rev, alpha, out=xi_rev)
+        x += gamma
+        if root != 1.0:                  # dividing by 1.0 is exact
+            x /= root
+        a_s = np.multiply(s_tile, alpha / root, out=work[1][:, :w])
+        log1p_x = work[2][:, :w]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log1p(x, out=log1p_x)
+            # R3, the product-form log remainder: cumulative log(1+x) - x
+            r3 = np.subtract(log1p_x, x, out=x)
+            _cumsum_rows(r3, carry[1], lo == 0, r3)
+        _cumsum_rows(log1p_x, carry[2], lo == 0, log1p_x)
+        r2 = _expm1_minus_x(a_s, out=log1p_x)
+        if hi == k:
+            a_s_last[:] = a_s[:, -1]
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.log1p(x, out=log1p_x)
-        # R3, the product-form log remainder: cumulative log(1+x) - x
-        r3 = np.subtract(log1p_x, x, out=x)
-        # row by row: numpy's cumsum releases the GIL on 1-D arrays only
-        for row in r3:
-            np.cumsum(row, out=row)
-    for row in log1p_x:
-        np.cumsum(row, out=row)
-    log_prod = log1p_x[:, -1].copy()
-    r2 = _expm1_minus_x(a_s, out=log1p_x)
+        np.abs(r2, out=scratch)
+        scratch.max(axis=1, out=maxima[0, :, t])
+        c = max(2 - lo, 0)               # R2's scale starts at column 2
+        np.divide(scratch[:, c:], lil[lo + c - 2:hi - 2], out=scratch[:, c:])
+        scratch[:, c:].max(axis=1, out=maxima[1, :, t])
+        np.abs(r3, out=scratch)
+        np.divide(scratch, j[lo:hi], out=scratch)
+        scratch.max(axis=1, out=maxima[2, :, t])
 
-    np.abs(r2, out=scratch)
-    r2_max = np.max(scratch, axis=1)
-    r2_lil_max = np.max(
-        np.divide(scratch[:, 2:], lil, out=scratch[:, 2:]), axis=1)
-    np.abs(r3, out=scratch)
-    r3_rel_max = np.max(np.divide(scratch, j, out=scratch), axis=1)
+        # on explosive classical rows these overflow; the components are
+        # checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = np.add(a_s[:, :m], 1.0, out=a_s[:, :m])
+            np.add.reduce(np.multiply(base, wgt, out=block), axis=1,
+                          out=leaf[t, 5])
+            np.add.reduce(np.multiply(r2[:, :m], wgt, out=block), axis=1,
+                          out=leaf[t, 4])
+            base += r2[:, :m]
+            np.expm1(r3[:, :m], out=block)
+            block *= base
+            block *= wgt
+            np.add.reduce(block, axis=1, out=leaf[t, 3])
 
-    # numpy's pairwise sum has a fixed order; np.dot's BLAS sum is split
-    # by thread count, so its last bits depend on the host.  On explosive
-    # classical rows these overflow; the components are checked below
-    block = scratch[:, :k - 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # R1 from its exact identity: e^{-k g} prod - 1 - a S_k
-        r1 = np.expm1(log_prod - k * g_eff) - a_s[:, -1]
-        base = np.add(a_s[:, :k - 1], 1.0, out=a_s[:, :k - 1])
-        inner4 = np.add.reduce(np.multiply(base, ejg, out=block), axis=1)
-        inner3 = np.add.reduce(np.multiply(r2[:, :k - 1], ejg, out=block),
-                               axis=1)
-        base += r2[:, :k - 1]
-        np.expm1(r3[:, :k - 1], out=block)
-        block *= base
-        block *= ejg
-        inner2 = np.add.reduce(block, axis=1)
+    sums = dict(zip(("lemma", "tau", "tau_star", "inner2", "inner3",
+                     "inner4"), _tree_sum(iter(leaf), k - 1, cap)))
+    values = {}
+    if lemma:
+        scale = k if mode == LITERAL else params.n
+        gap = sums["lemma"] - s_last
+        values["lemma"] = gap * gap / scale
+    if tau:
+        quarter = k ** 0.25 if mode == LITERAL else 1.0
+        values["tau_coupling"] = (sums["tau"] / quarter,
+                                  sums["tau_star"] / root)
+    if remainders:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # R1 from its exact identity: e^{-k g} prod - 1 - a S_k
+            r1 = np.expm1(carry[2] - k * g_eff) - a_s_last
+        values["remainders"] = _decomposition_reports(
+            params, k, mode, carry[2], sums, r1, np.max(maxima, axis=2))
+    return values
 
+
+def _decomposition_reports(params: GarchParams, k: int, mode: str,
+                           log_prod: np.ndarray, sums: dict, r1: np.ndarray,
+                           maxima: np.ndarray) -> List[DecompositionReport]:
+    """One DecompositionReport per row from the log product of its k
+    factors, its inner sums, R1 and its three remainder maxima."""
+    omega = params.omega
     pre = 0.5 * k * math.log(k) if mode == LITERAL else 0.0
 
     def first(lp: float):
@@ -281,8 +444,8 @@ def decompose_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
 
     reports = []
     for row, (lp, i2, i3, i4, *remainders) in enumerate(zip(*(
-            a.tolist() for a in (log_prod, inner2, inner3, inner4,
-                                 r1, r2_max, r2_lil_max, r3_rel_max)))):
+            a.tolist() for a in (log_prod, sums["inner2"], sums["inner3"],
+                                 sums["inner4"], r1, *maxima)))):
         comps = (first(lp), component(i2), component(i3), component(i4))
         if mode == CLASSICAL and not all(map(math.isfinite, comps)):
             raise DecompositionOverflow(

@@ -19,7 +19,6 @@ statistic is bit-identical whether it is evaluated alone or in a batch.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -28,7 +27,7 @@ import numpy as np
 
 from .localization import GarchParams, Regime, classify_regime
 from .simulate import (CLASSICAL, LITERAL, MODES, GarchPath,
-                       NumericalBreakdown, _decompose_weights)
+                       NumericalBreakdown, path_diagnostics)
 
 
 class WrongRegime(ValueError):
@@ -365,8 +364,8 @@ def tau_stats(path: GarchPath, params: GarchParams, k: int,
     _require(params, Regime.NEAR_STATIONARY)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    tau, tau_star = tau_rows(path.xi, params, k, mode)
-    return float(tau), float(tau_star)
+    tau, tau_star = tau_rows(path.xi[None, :], params, k, mode)
+    return float(tau[0]), float(tau_star[0])
 
 
 def lemma_discrepancy(path: GarchPath, params: GarchParams, k: int,
@@ -378,15 +377,7 @@ def lemma_discrepancy(path: GarchPath, params: GarchParams, k: int,
     _require(params, Regime.NEAR_EXPLOSIVE)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    return float(lemma_rows(path.xi, params, k, mode))
-
-
-@functools.lru_cache(maxsize=1)
-def _lemma_weights(g: float, k: int) -> np.ndarray:
-    """g e^{g (j-k)}, j = 1..k-1, read-only; one table per run."""
-    wgt = g * np.exp(g * np.arange(1 - k, 0, dtype=float))
-    wgt.flags.writeable = False
-    return wgt
+    return float(lemma_rows(path.xi[None, :], params, k, mode)[0])
 
 
 def tau_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
@@ -394,35 +385,18 @@ def tau_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
     """tau_stats of each row of a xi block (rows, m >= k), as two arrays.
 
     s, when given, is the reversed prefix sum
-    np.cumsum(xi[..., k-1::-1], axis=-1), shared with the other path
-    diagnostics; otherwise it is computed here.
+    np.cumsum(xi[:, k-1::-1], axis=1), read instead of computed.  The
+    row is one tile of simulate.path_diagnostics.
     """
-    # classical mode is literal mode with sqrt(k) and k^{1/4} set to 1;
-    # dividing by 1.0 is exact
-    root, quarter = ((math.sqrt(k), k ** 0.25) if mode == LITERAL
-                     else (1.0, 1.0))
-    xi_rev = xi[..., k - 1::-1]
-    if s is None:
-        s = np.cumsum(xi_rev, axis=-1)
-    # e^{g j}, j = 1..k-1: the decomposition's table, built once per run
-    wgt = _decompose_weights(params.gamma_n / root, k)[2]
-    # weighted sums by numpy's fixed-order pairwise sum, not np.dot, whose
-    # BLAS sum order (and last bits) follows the thread count
-    return (np.add.reduce(wgt * xi_rev[..., :k - 1], axis=-1) / quarter,
-            np.add.reduce(wgt * s[..., :k - 1], axis=-1) / root)
+    return path_diagnostics(xi, params, k, mode, ("tau_coupling",),
+                            s=s)["tau_coupling"]
 
 
 def lemma_rows(xi: np.ndarray, params: GarchParams, k: int, mode: str,
                s: Optional[np.ndarray] = None) -> np.ndarray:
     """lemma_discrepancy of each row of a xi block (rows, m >= k); s as in
     tau_rows."""
-    root, scale = (math.sqrt(k), k) if mode == LITERAL else (1.0, params.n)
-    if s is None:
-        s = np.cumsum(xi[..., k - 1::-1], axis=-1)
-    wgt = _lemma_weights(params.gamma_n / root, k)
-    # fixed-order sums, as in tau_rows
-    gap = np.add.reduce(wgt * s[..., :k - 1], axis=-1) - s[..., k - 2]
-    return gap * gap / scale
+    return path_diagnostics(xi, params, k, mode, ("lemma",), s=s)["lemma"]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ def test_bench_times_every_shape_on_every_tree():
               ("5 x 30 draws", "sampling", 5, 30),
               ("4 x 1 draw calls", "call", 4, 1))
     times = bench.bench([src], shapes=shapes, runs=3)
-    assert set(times) == {(label, src) for label, *_ in shapes}
+    assert set(times) == {(label, 0) for label, *_ in shapes}
     for wall, cpu in times.values():
         assert len(wall) == len(cpu) == 3
         assert all(w > 0.0 for w in wall) and all(c >= 0.0 for c in cpu)
@@ -81,3 +81,55 @@ def test_each_load_imports_its_own_tree(tmp_path):
     for tree, src in ((first, ROOT / "src"), (second, copy)):
         for module in vars(tree).values():
             assert Path(module.__file__).parent == src / "mdgarch"
+
+
+def test_one_tree_given_twice_is_timed_twice(monkeypatch):
+    # timings are keyed by the tree's position, so `--src src --src src`
+    # prints a row per position, each of its own runs; every round starts
+    # with an untimed run of its first job
+    bench = _script()
+    src = str(ROOT / "src")
+    shapes = (("1 x 51", "kernel", 1, 50), ("2 x 500 diagnostic pass",
+                                             "diagnostic", 2, 500))
+    trees = []
+    real_load = bench.load
+    monkeypatch.setattr(bench, "load",
+                        lambda path: trees.append(real_load(path))
+                        or trees[-1])
+    times = bench.bench([src, src], shapes=shapes, runs=2)
+    assert set(times) == {(label, i) for label, *_ in shapes for i in (0, 1)}
+    assert all(len(wall) == len(cpu) == 2 for wall, cpu in times.values())
+    lines = bench.table(times, [src, src], shapes)
+    assert [line.split(" | ")[:2] for line in lines] == \
+        [[label, src] for label, *_ in shapes for _ in (0, 1)]
+    assert len(trees) == 2
+
+
+def test_rounds_start_with_an_untimed_run(monkeypatch):
+    bench = _script()
+    calls = []
+    monkeypatch.setattr(bench, "load", lambda path: path)
+    monkeypatch.setattr(bench, "workload",
+                        lambda tree, layer, *shape: lambda: calls.append(
+                            (layer, tree)))
+    bench.bench(["a", "b"], shapes=(("x", "kernel", 1, 5),
+                                    ("y", "sampling", 1, 5)), runs=2)
+    # one untimed warm-up round, then two timed rounds, each led by an
+    # untimed run of its first job
+    jobs = [("kernel", "a"), ("kernel", "b"), ("sampling", "a"),
+            ("sampling", "b")]
+    assert calls == ([("kernel", "a")] + jobs) * 3
+
+
+def test_diagnostic_pass_maps_per_thread():
+    # the diagnostic shape runs the tree's harness pass; its bytes per
+    # thread are the tiles and the innovation row a thread maps
+    bench = _script()
+    tree = bench.load(str(ROOT / "src"))
+    fn = bench.workload(tree, "diagnostic", 2, 100000)
+    got = fn()
+    assert set(got) == {"lemma", "remainders"} and len(got["lemma"]) == 2
+    mapped = bench.mapped_per_thread(fn)
+    # one (1, 80000) row and four tiles of at most 20008 columns, each
+    # row padded to an odd number of cache lines
+    assert 8 * (80000 + 4 * 20008) <= mapped <= 8 * (80008 + 4 * 20024)

@@ -656,3 +656,17 @@ def test_diagnose_peak_memory_holds_no_diagnostics_window(tmp_path):
                                   "--out", str(tmp_path / "out")])
     assert rc == "0"
     assert maxrss_kb < 110 * 1024
+
+
+def test_diagnose_peak_memory_at_long_k(tmp_path):
+    # at k = 3.2e5 > DIAG_BLOCK a diagnostic block is one row, whose
+    # diagnostics run over column tiles: each thread holds the (1, k)
+    # innovations and four tiles of about 2e4 columns, 3.2 MB, where four
+    # (1, k) arrays took 10.2 MB.  The run peaked at 65.1-65.2 MB on a
+    # 2-vCPU Linux host, and at 77.4 MB with four (1, k) arrays a thread
+    cfg = write_config(tmp_path / "c.json", c_gamma=1.0, kappa=0.6,
+                       n=400000, reps=4)
+    rc, maxrss_kb = _peak_rss_kb(["diagnose", "--config", str(cfg),
+                                  "--out", str(tmp_path / "out")])
+    assert rc == "0"
+    assert maxrss_kb < 71 * 1024

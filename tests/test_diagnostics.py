@@ -24,11 +24,12 @@ from mdgarch.innovations import InnovationSpec, RngStream
 from mdgarch.localization import (GarchParams, LocalizationScheme, Regime,
                                   realize_params)
 from mdgarch.simulate import (CLASSICAL, LITERAL, MODES, DecompositionReport,
-                              GarchPath, _decompose_weights, decompose_rows,
-                              decompose_volatility, simulate_path)
-from mdgarch.stats import (CheckpointGrid, _lemma_weights, _require,
-                           lemma_discrepancy, lemma_rows, tau_rows,
-                           tau_stats)
+                              GarchPath, _decompose_weights, _lemma_weights,
+                              _sum_leaves, _tree_sum, column_tiles,
+                              decompose_rows, decompose_volatility,
+                              simulate_path)
+from mdgarch.stats import (CheckpointGrid, _require, lemma_discrepancy,
+                           lemma_rows, tau_rows, tau_stats)
 
 
 
@@ -312,6 +313,44 @@ def test_xi_block_reaches_both_r2_branches(xi_block, regime, mode):
     assert 0 < small < a_s.size
 
 
+@pytest.mark.parametrize("cap", [64, 1000, DIAG_BLOCK])
+@pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 2 ** 15 - 1, 2 ** 15 + 1,
+                               79999])
+def test_tree_sum_of_leaves_equals_pairwise_sum(n, cap):
+    # heavy-tailed terms, so that another order of additions rounds
+    # differently; the leaves are summed in buffers of their own, at
+    # another alignment than in the row
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((3, n)) * np.exp(5.0 * rng.standard_normal(n))
+    leaves = _sum_leaves(n, cap)
+    assert [lo for lo, _ in leaves[1:]] == [hi for _, hi in leaves[:-1]]
+    assert leaves[0][0] == 0 and leaves[-1][1] == n
+    for terms in (a[0], a):
+        sums = []
+        for lo, hi in leaves:
+            tile = np.empty(terms.shape[:-1] + (hi - lo + 1,))[..., 1:]
+            np.copyto(tile, terms[..., lo:hi])
+            sums.append(np.add.reduce(tile, axis=-1))
+        got = _tree_sum(iter(sums), n, cap)
+        assert np.asarray(got).tobytes() == \
+            np.add.reduce(terms, axis=-1).tobytes()
+
+
+def test_tree_leaves_at_k_8e4():
+    # the tiles of a row at k = 8e4: the leaves of its 79999 weighted
+    # terms.  One term in each leaf, chosen so that adding the leaves'
+    # sums in order (1) is not numpy's sum (0)
+    leaves = _sum_leaves(79999, DIAG_BLOCK)
+    assert [hi - lo for lo, hi in leaves] == [19992, 20000, 20000, 20007]
+    # the last tile takes the row's last column too
+    assert column_tiles(80000, DIAG_BLOCK) == leaves[:-1] + [(59992, 80000)]
+    a = np.zeros(79999)
+    a[[lo for lo, _ in leaves]] = 1.0, 1e16, -1e16, 1.0
+    sums = [np.add.reduce(a[lo:hi]) for lo, hi in leaves]
+    assert _tree_sum(iter(sums), 79999, DIAG_BLOCK) == np.add.reduce(a) == 0
+    assert ((sums[0] + sums[1]) + sums[2]) + sums[3] == 1.0
+
+
 def test_weight_tables_are_read_only():
     g, k = PARAMS["NE"].gamma_n, KS[0]
     for table in (_lemma_weights(g, k), *_decompose_weights(g, k)):
@@ -430,8 +469,9 @@ def test_redrawn_laws_equal_per_path_reductions(law, regime, mode):
 
 def test_tau_coupling_squares_python_floats(monkeypatch):
     # the coupling gap v is squared as v ** 2 (the C library's pow), which
-    # rounds differently from v * v for about 1 double in 1200; tau_rows
-    # is replaced by one that yields chosen gaps where pow rounds up
+    # rounds differently from v * v for about 1 double in 1200; the
+    # harness's path diagnostics are replaced by tau pairs that yield
+    # chosen gaps where pow rounds up
     config = _harness_config("NS", ("tau_coupling",), CLASSICAL)
     g = realize_params(config.scheme, config.n).gamma_n
     c = math.sqrt(2.0 * abs(g) ** 3)
@@ -442,10 +482,11 @@ def test_tau_coupling_squares_python_floats(monkeypatch):
     assert len(gaps) == HARNESS_REPS
     draws = iter(w[pick].tolist())
 
-    def chosen_tau_rows(xi, params, k, mode, s=None):
-        return np.zeros(len(xi)), np.array([next(draws) for _ in xi])
+    def chosen_tau_rows(xi, params, k, mode, tests, cap, work):
+        return {"tau_coupling": (np.zeros(len(xi)),
+                                 np.array([next(draws) for _ in xi]))}
 
-    monkeypatch.setattr(harness, "tau_rows", chosen_tau_rows)
+    monkeypatch.setattr(harness, "path_diagnostics", chosen_tau_rows)
     estimate = run_experiment(config).results["tau_coupling"]["estimate"]
     assert next(draws, None) is None
     assert estimate == math.fsum(sorted(v ** 2 for v in gaps)) / len(gaps)

@@ -17,7 +17,8 @@ from mdgarch.harness import (ConfigurationError, McConfig, McReport,
 from mdgarch.innovations import InnovationSpec, RngStream
 from mdgarch.kernels import recursion_batch
 from mdgarch.localization import LocalizationScheme, realize_params
-from mdgarch.simulate import CLASSICAL, LITERAL, MODES, simulate_path
+from mdgarch.simulate import (CLASSICAL, LITERAL, MODES, column_tiles,
+                              simulate_path)
 from mdgarch.stats import (CheckpointGrid, checkpoint_returns,
                            geometric_exp_sum)
 
@@ -248,7 +249,8 @@ class TestWorkerCount:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("where", ["sample_innovations", "lemma_rows"])
+    @pytest.mark.parametrize("where", ["sample_innovations",
+                                       "path_diagnostics"])
     def test_exception_in_a_later_worker_surfaces(self, monkeypatch, where):
         class Boom(RuntimeError):
             pass
@@ -498,32 +500,63 @@ class TestPasses:
             assert 0 < want.count(-1) < 30
 
 
+@pytest.mark.parametrize("n", [1000, 10000])
+@pytest.mark.parametrize("regime,mode", [
+    ("NE", CLASSICAL), ("NE", LITERAL), ("NS", CLASSICAL), ("NS", LITERAL)])
+def test_column_tiles_leave_diagnostics_unchanged(monkeypatch, regime, mode,
+                                                  n):
+    # with a tile cap of 64 doubles each row (k = 800 or 8000) runs in
+    # many column tiles, one row a block: the leaves of numpy's pairwise
+    # sums (64 to 128 columns; it never splits 128 or fewer) and a last
+    # tile of the one column they leave.  Every lemma, tau coupling and
+    # decomposition equals the untiled run's
+    config = ns_config(scheme=REGIME_SCHEMES[regime], n=n, reps=6, mode=mode,
+                       tests=DIAGNOSTICS[regime])
+    params, k = validate_config(config), diag_checkpoint(n)
+    assert harness.DIAG_BLOCK // k >= 4   # one tile of several rows
+    want = harness._diagnostic_pass(config, params, k, 0, 6)
+    monkeypatch.setattr(harness, "DIAG_BLOCK", 64)
+    tiles = column_tiles(k, 64)
+    assert len(tiles) > 5 and tiles[-1] == (k - 1, k)
+    assert all(64 <= hi - lo <= 128 for lo, hi in tiles[:-1])
+    got = harness._diagnostic_pass(config, params, k, 0, 6)
+    assert set(got) == set(want) == set(DIAGNOSTICS[regime])
+    for test, values in got.items():
+        if test == "remainders":
+            assert [repr(d) for d in values] == \
+                [repr(d) for d in want[test]]
+        else:
+            assert np.array(values).tobytes() == \
+                np.array(want[test]).tobytes()
+
+
 def test_no_diagnostics_window_outlives_its_pass(monkeypatch):
     # each thread's diagnostic arrays live in an anonymous map of their
     # own, and no view of them is left when the kernel pass starts, so
     # their pages are back with the system before it maps its time block
-    windows = []  # (weakref to the outermost array of s, mapped)
+    windows = []  # (weakref to the outermost array, mapped) of xi, work
     live = []     # windows alive at each kernel pass
 
-    def recording(xi, params, k, mode, s=None):
-        outer = s
-        while isinstance(outer.base, np.ndarray):
-            outer = outer.base
-        mapped = isinstance(getattr(outer.base, "obj", None), mmap.mmap)
-        windows.append((weakref.ref(outer), mapped))
-        return real(xi, params, k, mode, s=s)
+    def recording(xi, params, k, mode, tests, cap, work):
+        for array in (xi, work):
+            outer = array
+            while isinstance(outer.base, np.ndarray):
+                outer = outer.base
+            mapped = isinstance(getattr(outer.base, "obj", None), mmap.mmap)
+            windows.append((weakref.ref(outer), mapped))
+        return real(xi, params, k, mode, tests, cap, work=work)
 
     class Counting(harness.Recursion):
         def __init__(self, *args):
             live.append(sum(ref() is not None for ref, _ in windows))
             super().__init__(*args)
 
-    real = harness.lemma_rows
-    monkeypatch.setattr(harness, "lemma_rows", recording)
+    real = harness.path_diagnostics
+    monkeypatch.setattr(harness, "path_diagnostics", recording)
     monkeypatch.setattr(harness, "Recursion", Counting)
     run_experiment(ns_config(scheme=REGIME_SCHEMES["NE"], n=50000, reps=20,
                              tests=DIAGNOSTICS["NE"]))
-    assert len(windows) == 20  # one row a block at k = 40000
+    assert len(windows) == 2 * 20  # one row a block at k = 40000
     assert live == [0]
     assert all(mapped for _, mapped in windows)
 
